@@ -28,16 +28,27 @@ std::map<int, int> memory_profile(const dfg::Graph& g) {
   return accesses;
 }
 
+/// Per-module-set inputs of make_prediction that do not depend on the
+/// allocation or the schedule.
+struct ModuleSetContext {
+  const lib::ModuleSet* set = nullptr;
+  std::span<const Cycles> latency;
+  /// busy_cycles_by_kind(g, latency).
+  std::map<dfg::OpKind, Cycles> busy_cycles;
+  /// memory_profile(g), computed once per request.
+  const std::map<int, int>* memory_accesses = nullptr;
+};
+
 /// Builds the full DesignPrediction for one scheduled point.
 DesignPrediction make_prediction(const PredictionRequest& req,
-                                 const lib::ModuleSet& set,
+                                 const ModuleSetContext& ctx,
                                  const std::map<dfg::OpKind, int>& alloc,
-                                 std::span<const Cycles> latency,
                                  const sched::OpSchedule& schedule,
-                                 DesignStyle style, Ns steering_guess) {
+                                 DesignStyle style) {
   const dfg::Graph& g = *req.graph;
   const lib::ComponentLibrary& library = *req.library;
   const lib::TechnologyParams& tech = library.technology();
+  const lib::ModuleSet& set = *ctx.set;
 
   DesignPrediction p;
   p.style = style;
@@ -53,11 +64,11 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   p.ii_main = p.ii_dp * req.clocks.datapath_multiplier;
   p.latency_main = p.stages * req.clocks.datapath_multiplier;
 
-  DatapathEstimate dp = estimate_datapath(g, latency, schedule, alloc, library);
+  DatapathEstimate dp =
+      estimate_datapath(g, ctx.latency, schedule, alloc, library);
   // Scan-design overheads (§5): heavier registers, a scan mux on the
   // register setup path, a fatter controller.
   const TestabilityOptions& test = req.testability;
-  test.validate();
   if (test.scan_design) {
     dp.register_area = dp.register_area * test.register_area_factor;
     dp.steering_delay += test.register_delay_penalty_ns;
@@ -100,17 +111,16 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   const Ns wiring_delay =
       tech.wiring_delay_fraction.likely() * (dp.steering_delay + pla.delay);
   const Ns dp_overhead = dp.steering_delay + pla.delay + wiring_delay;
-  (void)steering_guess;
   p.clock_overhead_ns =
       dp_overhead / static_cast<double>(req.clocks.datapath_multiplier);
 
   const AreaMil2 support_area = p.register_area.likely() +
                                 p.mux_area.likely() +
                                 p.controller_area.likely();
-  p.power_mw = estimate_datapath_power(set, alloc, busy_cycles_by_kind(g, latency),
-                                       p.ii_dp, support_area, tech);
+  p.power_mw = estimate_datapath_power(set, alloc, ctx.busy_cycles, p.ii_dp,
+                                       support_area, tech);
 
-  p.memory_accesses = memory_profile(g);
+  p.memory_accesses = *ctx.memory_accesses;
   return p;
 }
 
@@ -130,6 +140,7 @@ std::vector<DesignPrediction> Predictor::predict(
   CHOP_REQUIRE(req.graph != nullptr, "prediction request needs a graph");
   CHOP_REQUIRE(req.library != nullptr, "prediction request needs a library");
   req.clocks.validate();
+  req.testability.validate();
   req.graph->validate();
 
   const dfg::Graph& g = *req.graph;
@@ -155,6 +166,7 @@ std::vector<DesignPrediction> Predictor::predict(
   static obs::Counter& schedules =
       obs::MetricsRegistry::global().counter("bad.schedules");
 
+  const std::map<int, int> memory_accesses = memory_profile(g);
   std::vector<DesignPrediction> out;
 
   for (const lib::ModuleSet& set :
@@ -165,6 +177,8 @@ std::vector<DesignPrediction> Predictor::predict(
     if (!latency_opt) continue;  // single-cycle: module set does not fit
     module_sets.add();
     const std::vector<Cycles>& latency = *latency_opt;
+    const ModuleSetContext ctx{&set, latency, busy_cycles_by_kind(g, latency),
+                               &memory_accesses};
 
     // Allocation sweep: cartesian product of per-kind unit counts.
     std::vector<std::map<dfg::OpKind, int>> allocs{{}};
@@ -194,9 +208,8 @@ std::vector<DesignPrediction> Predictor::predict(
       const sched::OpSchedule nonpipe = sched::list_schedule(g, latency, limits);
       schedules.add();
       CHOP_ASSERT(nonpipe.feasible, "nonpipelined list schedule cannot fail");
-      out.push_back(make_prediction(req, set, alloc, latency, nonpipe,
-                                    DesignStyle::Nonpipelined,
-                                    eligibility_overhead));
+      out.push_back(make_prediction(req, ctx, alloc, nonpipe,
+                                    DesignStyle::Nonpipelined));
       const Cycles stages = out.back().stages;
 
       if (!req.style.allow_pipelining || stages <= 1) continue;
@@ -209,9 +222,8 @@ std::vector<DesignPrediction> Predictor::predict(
             sched::pipeline_schedule(g, latency, limits, ii);
         schedules.add();
         if (!pipe.feasible) continue;
-        out.push_back(make_prediction(req, set, alloc, latency, pipe,
-                                      DesignStyle::Pipelined,
-                                      eligibility_overhead));
+        out.push_back(
+            make_prediction(req, ctx, alloc, pipe, DesignStyle::Pipelined));
       }
     }
   }

@@ -20,6 +20,7 @@ namespace chop::core {
 
 std::size_t PartitionPredictions::raw_total() const {
   std::size_t total = 0;
+  for (std::size_t count : raw_counts) total += count;
   for (const auto& list : raw) total += list.size();
   return total;
 }
@@ -201,6 +202,9 @@ std::vector<GlobalDesign> non_inferior(std::vector<GlobalDesign> designs) {
 
 const std::vector<std::vector<bad::DesignPrediction>>& search_lists(
     const PartitionPredictions& pred, const SearchOptions& options) {
+  CHOP_REQUIRE(options.prune || pred.raw_counts.empty(),
+               "raw prediction lists were not kept (shared prediction "
+               "cache); only a pruned search can run");
   return options.prune ? pred.eligible : pred.raw;
 }
 

@@ -142,7 +142,14 @@ struct SearchOptions {
 struct PartitionPredictions {
   std::vector<std::vector<bad::DesignPrediction>> raw;
   std::vector<std::vector<bad::DesignPrediction>> eligible;
+  /// Raw prediction count per partition when the raw lists were not kept
+  /// (a session on a shared PredictionCache holds eligible lists only;
+  /// `raw` is then empty per partition and only pruned searches may run).
+  /// Empty when `raw` holds the lists.
+  std::vector<std::size_t> raw_counts;
 
+  /// Raw predictions over all partitions (the Table-3/5 figure), from
+  /// `raw_counts` when set.
   std::size_t raw_total() const;
   std::size_t eligible_total() const;
 };

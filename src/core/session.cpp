@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "core/eval/fingerprint.hpp"
+#include "core/eval/prediction_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase_profile.hpp"
 #include "obs/trace.hpp"
@@ -32,6 +34,7 @@ Cycles max_ii_dp_for(const ChopConfig& config) {
 ChopSession::ChopSession(const lib::ComponentLibrary& library,
                          Partitioning partitioning, ChopConfig config)
     : library_(&library),
+      library_key_(library_fingerprint(library)),
       partitioning_(std::move(partitioning)),
       config_(std::move(config)),
       evaluator_(std::make_unique<CandidateEvaluator>()) {
@@ -45,6 +48,7 @@ void ChopSession::set_constraints(const DesignConstraints& constraints) {
   constraints.validate();
   config_.constraints = constraints;
   predictions_valid_ = false;  // level-1 pruning depends on the budget
+  keys_valid_ = false;
 }
 
 void ChopSession::set_clocking(const bad::ArchitectureStyle& style,
@@ -53,6 +57,15 @@ void ChopSession::set_clocking(const bad::ArchitectureStyle& style,
   config_.style = style;
   config_.clocks = clocks;
   predictions_valid_ = false;  // every prediction depends on the clocks
+  keys_valid_ = false;
+}
+
+void ChopSession::share_predictions(PredictionCache* cache) {
+  shared_predictions_ = cache;
+  predictions_ = PartitionPredictions{};
+  predict_cache_.clear();
+  predictions_valid_ = false;
+  last_result_valid_ = false;
 }
 
 std::uint64_t ChopSession::predict_env_key() const {
@@ -68,7 +81,9 @@ std::uint64_t ChopSession::predict_env_key() const {
   h.mix(config_.testability.register_delay_penalty_ns);
   h.mix(config_.testability.controller_area_factor);
   h.mix(config_.testability.test_pins_per_chip);
+  h.mix(static_cast<std::uint64_t>(config_.predictor.unit_sweep.size()));
   for (int units : config_.predictor.unit_sweep) h.mix(units);
+  h.mix(static_cast<std::uint64_t>(partitioning_.memory().blocks.size()));
   for (const auto& block : partitioning_.memory().blocks) {
     h.mix(block.ports);
     h.mix(block.access_time);
@@ -76,21 +91,17 @@ std::uint64_t ChopSession::predict_env_key() const {
   return h.digest();
 }
 
-std::uint64_t ChopSession::raw_key(std::size_t p,
-                                   std::uint64_t env_key) const {
-  Fnv1a h;
-  h.mix(env_key);
-  h.mix(static_cast<std::uint64_t>(p));
-  for (dfg::NodeId member : partitioning_.partitions()[p].members) {
-    h.mix(member);
-  }
-  return h.digest();
-}
+ChopSession::PartitionKeys ChopSession::keys_for(
+    std::size_t p, std::uint64_t env_key, const dfg::Graph& subgraph) const {
+  Fnv1a raw;
+  raw.mix(env_key);
+  raw.mix(library_key_);
+  raw.mix(graph_digest(subgraph));
 
-std::uint64_t ChopSession::eligible_key(std::size_t p,
-                                        std::uint64_t raw) const {
+  PartitionKeys keys;
+  keys.raw = raw.digest();
   Fnv1a h;
-  h.mix(raw);
+  h.mix(keys.raw);
   const Partition& part = partitioning_.partitions()[p];
   h.mix(partitioning_.chips()[static_cast<std::size_t>(part.chip)]
             .package.usable_area());
@@ -102,7 +113,22 @@ std::uint64_t ChopSession::eligible_key(std::size_t p,
   h.mix(config_.criteria.performance_prob);
   h.mix(config_.criteria.delay_prob);
   h.mix(config_.criteria.power_prob);
-  return h.digest();
+  keys.eligible = h.digest();
+  return keys;
+}
+
+const std::vector<ChopSession::PartitionKeys>& ChopSession::partition_keys() {
+  const std::size_t nparts = partitioning_.partitions().size();
+  if (!keys_valid_ || keys_.size() != nparts) {
+    const std::uint64_t env = predict_env_key();
+    keys_.resize(nparts);
+    for (std::size_t p = 0; p < nparts; ++p) {
+      keys_[p] = keys_for(
+          p, env, partitioning_.subgraph(static_cast<int>(p)).graph);
+    }
+    keys_valid_ = true;
+  }
+  return keys_;
 }
 
 PredictionStats ChopSession::predict_partitions() {
@@ -112,18 +138,24 @@ PredictionStats ChopSession::predict_partitions() {
 
   const auto& partitions = partitioning_.partitions();
   const auto& chips = partitioning_.chips();
+  const std::size_t nparts = partitions.size();
 
-  if (predictions_.raw.size() != partitions.size() ||
-      predict_cache_.size() != partitions.size()) {
+  if (predictions_.eligible.size() != nparts ||
+      predict_cache_.size() != nparts) {
     predictions_ = PartitionPredictions{};
-    predictions_.raw.resize(partitions.size());
-    predictions_.eligible.resize(partitions.size());
-    predict_cache_.assign(partitions.size(), PartitionPredictState{});
+    predictions_.raw.resize(nparts);
+    predictions_.eligible.resize(nparts);
+    if (shared_predictions_ != nullptr) predictions_.raw_counts.resize(nparts);
+    predict_cache_.assign(nparts, PartitionPredictState{});
   }
 
   // Cap pipelined II enumeration from the performance budget (§3.2).
   const Cycles max_ii_dp = max_ii_dp_for(config_);
-  const std::uint64_t env_key = predict_env_key();
+  // Keys are built here, from the subgraph a miss predicts on, unless an
+  // earlier call already built them for this state.
+  const bool fresh_keys = !keys_valid_ || keys_.size() != nparts;
+  if (fresh_keys) keys_.resize(nparts);
+  const std::uint64_t env_key = fresh_keys ? predict_env_key() : 0;
 
   static obs::Counter& reused_counter =
       obs::MetricsRegistry::global().counter("eval.delta_predict_reused");
@@ -132,20 +164,26 @@ PredictionStats ChopSession::predict_partitions() {
 
   bad::Predictor predictor(config_.predictor);
   PredictionStats stats;
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
+  for (std::size_t p = 0; p < nparts; ++p) {
+    std::optional<dfg::Subgraph> sub;
+    if (fresh_keys) {
+      sub = partitioning_.subgraph(static_cast<int>(p));
+      keys_[p] = keys_for(p, env_key, sub->graph);
+    }
+    const PartitionKeys& keys = keys_[p];
     PartitionPredictState& state = predict_cache_[p];
-    const std::uint64_t rk = raw_key(p, env_key);
-    const bool raw_hit = state.valid && state.raw_key == rk;
-    if (raw_hit) {
-      ++stats.reused;
-      reused_counter.add();
-    } else {
+    const bool raw_hit = state.valid && state.keys.raw == keys.raw;
+    const bool eligible_hit = raw_hit && state.keys.eligible == keys.eligible;
+    const AreaMil2 usable = chips[static_cast<std::size_t>(partitions[p].chip)]
+                                .package.usable_area();
+
+    const auto run_bad = [&] {
       obs::TraceSpan partition_span("session.predict.partition");
       partition_span.arg("partition", partitions[p].name);
-      const dfg::Subgraph sub = partitioning_.subgraph(static_cast<int>(p));
+      if (!sub) sub = partitioning_.subgraph(static_cast<int>(p));
 
       bad::PredictionRequest request;
-      request.graph = &sub.graph;
+      request.graph = &sub->graph;
       request.library = library_;
       request.style = config_.style;
       request.clocks = config_.clocks;
@@ -157,23 +195,47 @@ PredictionStats ChopSession::predict_partitions() {
         request.memory_access_time.push_back(
             partitioning_.memory().blocks[b].access_time);
       }
-
-      predictions_.raw[p] = predictor.predict(request);
       recomputed_counter.add();
+      return predictor.predict(request);
+    };
+    const auto prune = [&](std::vector<bad::DesignPrediction> raw) {
+      return prune_level1(std::move(raw), usable, config_.clocks,
+                          config_.constraints, config_.criteria);
+    };
+
+    if (shared_predictions_ != nullptr) {
+      // Eligible lists only: a miss in both memos predicts, prunes and
+      // publishes the pruned entry; the raw list is dropped.
+      if (eligible_hit) {
+        ++stats.reused;
+        reused_counter.add();
+      } else {
+        std::shared_ptr<const CachedPrediction> entry =
+            shared_predictions_->find(keys.eligible);
+        if (entry == nullptr) {
+          auto fresh = std::make_shared<CachedPrediction>();
+          std::vector<bad::DesignPrediction> raw = run_bad();
+          fresh->raw_count = raw.size();
+          fresh->eligible = prune(std::move(raw));
+          shared_predictions_->insert(keys.eligible, fresh);
+          entry = std::move(fresh);
+        }
+        predictions_.eligible[p] = entry->eligible;
+        predictions_.raw_counts[p] = entry->raw_count;
+      }
+    } else {
+      if (raw_hit) {
+        ++stats.reused;
+        reused_counter.add();
+      } else {
+        predictions_.raw[p] = run_bad();
+      }
+      if (!eligible_hit) predictions_.eligible[p] = prune(predictions_.raw[p]);
     }
-    const std::uint64_t ek = eligible_key(p, rk);
-    if (!raw_hit || state.eligible_key != ek) {
-      const AreaMil2 usable =
-          chips[static_cast<std::size_t>(partitions[p].chip)]
-              .package.usable_area();
-      predictions_.eligible[p] =
-          prune_level1(predictions_.raw[p], usable, config_.clocks,
-                       config_.constraints, config_.criteria);
-    }
-    state.raw_key = rk;
-    state.eligible_key = ek;
+    state.keys = keys;
     state.valid = true;
   }
+  keys_valid_ = true;
 
   predictions_valid_ = true;
   stats.total = predictions_.raw_total();
@@ -205,14 +267,13 @@ DeltaImpact ChopSession::apply(const EvalDelta& delta) {
     old_full = before.fingerprint();
     old_core = before.core_fingerprint();
   }
-  std::vector<std::uint64_t> old_keys(old_nparts);
-  {
-    const std::uint64_t env = predict_env_key();
-    for (std::size_t p = 0; p < old_nparts; ++p) {
-      old_keys[p] = eligible_key(p, raw_key(p, env));
-    }
+  std::vector<std::uint64_t> old_keys;
+  old_keys.reserve(old_nparts);
+  for (const PartitionKeys& keys : partition_keys()) {
+    old_keys.push_back(keys.eligible);
   }
 
+  keys_valid_ = false;
   apply_delta(delta, partitioning_, config_.style, config_.clocks,
               config_.constraints);
   partitioning_.validate();
@@ -233,10 +294,9 @@ DeltaImpact ChopSession::apply(const EvalDelta& delta) {
     impact.dirty_partitions.assign(nparts, true);
   } else {
     impact.dirty_partitions.assign(nparts, false);
-    const std::uint64_t env = predict_env_key();
+    const std::vector<PartitionKeys>& keys = partition_keys();
     for (std::size_t p = 0; p < nparts; ++p) {
-      impact.dirty_partitions[p] =
-          eligible_key(p, raw_key(p, env)) != old_keys[p];
+      impact.dirty_partitions[p] = keys[p].eligible != old_keys[p];
     }
   }
 
@@ -265,13 +325,7 @@ SearchResult ChopSession::research(const SearchOptions& options) {
   const EvalContext ctx = make_eval_context();
 
   const std::size_t nparts = partitioning_.partitions().size();
-  const std::uint64_t env = predict_env_key();
-  std::vector<std::uint64_t> raw_keys(nparts);
-  std::vector<std::uint64_t> eligible_keys(nparts);
-  for (std::size_t p = 0; p < nparts; ++p) {
-    raw_keys[p] = raw_key(p, env);
-    eligible_keys[p] = eligible_key(p, raw_keys[p]);
-  }
+  const std::vector<PartitionKeys>& keys = partition_keys();
 
   // One-deep result memo, content-keyed: the context fingerprint covers
   // the integration inputs, the list keys cover the searched lists, and
@@ -286,9 +340,9 @@ SearchResult ChopSession::research(const SearchOptions& options) {
   rk.mix(options.record_all ? 1 : 0);
   rk.mix(static_cast<std::uint64_t>(options.max_trials));
   rk.mix(options.bound_pruning ? 1 : 0);
-  for (std::size_t p = 0; p < nparts; ++p) {
-    rk.mix(raw_keys[p]);
-    rk.mix(eligible_keys[p]);
+  for (const PartitionKeys& k : keys) {
+    rk.mix(k.raw);
+    rk.mix(k.eligible);
   }
   const std::uint64_t result_key = rk.digest();
   const bool cache_eligible =
@@ -311,7 +365,7 @@ SearchResult ChopSession::research(const SearchOptions& options) {
     for (std::size_t p = 0; p < nparts; ++p) {
       Fnv1a ch;
       ch.mix(opts.prune ? kEligibleFamily : kRawFamily);
-      ch.mix(opts.prune ? eligible_keys[p] : raw_keys[p]);
+      ch.mix(opts.prune ? keys[p].eligible : keys[p].raw);
       column_keys[p] = ch.digest();
     }
     bound_cache_->prepare(ctx.core_fingerprint(), std::move(column_keys));

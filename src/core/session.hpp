@@ -32,6 +32,8 @@
 
 namespace chop::core {
 
+class PredictionCache;
+
 /// Complete experiment configuration (paper §2.2 input group 6, plus the
 /// §5 testability extension).
 struct ChopConfig {
@@ -66,8 +68,10 @@ class ChopSession {
 
   /// Mutable access for applying §2.7 modifications; invalidates any
   /// stored predictions so a stale search cannot follow a structural edit.
+  /// The reference is good for one edit: call again for the next one.
   Partitioning& mutate_partitioning() {
     predictions_valid_ = false;
+    keys_valid_ = false;
     return partitioning_;
   }
 
@@ -111,6 +115,14 @@ class ChopSession {
   /// lists for subsequent search() calls and returns the Table-3/5 stats.
   PredictionStats predict_partitions();
 
+  /// Shares pruned prediction lists with every other session on `cache`
+  /// (not owned; must outlive the session's predict passes; null
+  /// detaches). Partitions whose content key is already cached skip BAD.
+  /// An attached session keeps eligible lists only — predictions().raw is
+  /// empty, raw_counts carries the Table-3/5 counts — so only pruned
+  /// searches can run on it. Invalidates stored predictions.
+  void share_predictions(PredictionCache* cache);
+
   /// Per-partition prediction lists from the last predict_partitions().
   const PartitionPredictions& predictions() const { return predictions_; }
 
@@ -140,30 +152,44 @@ class ChopSession {
   std::string guideline(const GlobalDesign& design) const;
 
  private:
-  /// Cached content keys of one partition's prediction lists, deciding
-  /// reuse across predict passes. raw_key digests everything the raw BAD
-  /// run reads (clocking environment, testability, memory subsystem,
-  /// predictor sweep, partition members); eligible_key additionally
-  /// digests what level-1 pruning reads (the chip's usable area, the
-  /// constraint budget, the feasibility criteria). Equal keys imply
-  /// identical lists by construction.
+  /// Content keys of one partition's prediction lists. raw digests
+  /// everything the raw BAD run reads (the partition subgraph's
+  /// structure, the library, and predict_env_key(): clocking,
+  /// testability, memory subsystem, predictor sweep); eligible
+  /// additionally digests what level-1 pruning reads (the chip's usable
+  /// area, the constraint budget, the feasibility criteria). Neither
+  /// depends on the partition's index, member order or op names, so equal
+  /// keys imply identical lists in any session — eligible is also the
+  /// shared PredictionCache key.
+  struct PartitionKeys {
+    std::uint64_t raw = 0;
+    std::uint64_t eligible = 0;
+  };
+
+  /// The keys the last predict pass stored per partition, deciding reuse.
   struct PartitionPredictState {
-    std::uint64_t raw_key = 0;
-    std::uint64_t eligible_key = 0;
+    PartitionKeys keys;
     bool valid = false;
   };
 
   std::uint64_t predict_env_key() const;
-  std::uint64_t raw_key(std::size_t p, std::uint64_t env_key) const;
-  std::uint64_t eligible_key(std::size_t p, std::uint64_t raw) const;
+  PartitionKeys keys_for(std::size_t p, std::uint64_t env_key,
+                         const dfg::Graph& subgraph) const;
+  /// Keys of every partition in the current state, built at most once per
+  /// state: memoized until the next modification.
+  const std::vector<PartitionKeys>& partition_keys();
 
   const lib::ComponentLibrary* library_;
+  std::uint64_t library_key_;  ///< library_fingerprint(*library_).
   Partitioning partitioning_;
   ChopConfig config_;
   PartitionPredictions predictions_;
   bool predictions_valid_ = false;
   std::uint64_t revision_ = 0;
   std::vector<PartitionPredictState> predict_cache_;
+  std::vector<PartitionKeys> keys_;
+  bool keys_valid_ = false;
+  PredictionCache* shared_predictions_ = nullptr;
   /// Bound-table memo armed by research() before each search; behind a
   /// pointer for the same movability reason as evaluator_.
   std::unique_ptr<BoundTablesCache> bound_cache_;

@@ -32,7 +32,7 @@ enum class SearchPhase : std::size_t {
   kMerge,            ///< In-order merging of per-unit results.
   kFrontierSync,     ///< Shared-incumbent snapshots and wave commits.
   kCacheWait,        ///< Blocked acquiring an evaluator cache shard lock.
-  kPredict,          ///< Per-partition BAD prediction (session research).
+  kPredict,          ///< Per-partition BAD prediction (research, serve jobs).
   kRender,           ///< Serve-side result JSON rendering.
   kGenCoarsen,       ///< Partition generation: heavy-edge coarsening.
   kGenInitial,       ///< Partition generation: coarsest-level seed cuts.

@@ -192,7 +192,16 @@ void ChopServer::run_job(const std::shared_ptr<Job>& job) {
       return;
     }
     core::ChopSession session = job->project.make_session();
-    const core::PredictionStats stats = session.predict_partitions();
+    // Keep-all searches read the raw lists, which the shared cache does
+    // not hold; they predict on their own.
+    if (options_.share_evaluators && !job->options.keep_all) {
+      session.share_predictions(&prediction_cache_);
+    }
+    core::PredictionStats stats;
+    {
+      obs::ScopedPhase predict_phase(&job->profile, obs::SearchPhase::kPredict);
+      stats = session.predict_partitions();
+    }
 
     core::SearchOptions search;
     search.heuristic = job->options.heuristic;
@@ -449,6 +458,7 @@ ServerStats ChopServer::stats() const {
   stats.queue_capacity = queue_.capacity();
   stats.evaluator_pool = evaluator_pool_.stats();
   stats.eval_cache = evaluator_pool_.cache_stats();
+  stats.prediction_cache = prediction_cache_.stats();
   return stats;
 }
 

@@ -10,11 +10,13 @@
 // N worker threads each running predict_partitions()+search() per job, a
 // persistent in-process result store with status polling and blocking
 // waits, per-job cooperative cancellation and wall-clock deadlines
-// (threaded into SearchOptions), and an EvaluatorPool sharing one
+// (threaded into SearchOptions), an EvaluatorPool sharing one
 // memoizing CandidateEvaluator between all jobs whose EvalContext
-// fingerprints match. Transport-free — the NDJSON protocol, pipe loop and
-// Unix-socket acceptors live in service.{hpp,cpp}/uds.{hpp,cpp}; tests
-// drive this class directly from many threads.
+// fingerprints match, and one PredictionCache sharing pruned BAD lists
+// between the sessions of all pruned jobs. Transport-free — the NDJSON
+// protocol, pipe loop and Unix-socket acceptors live in
+// service.{hpp,cpp}/uds.{hpp,cpp}; tests drive this class directly from
+// many threads.
 //
 // Every job gets its own `serve.job` trace span; the queue, latency and
 // outcome metrics are listed in docs/OBSERVABILITY.md under `serve.*`.
@@ -29,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/eval/prediction_cache.hpp"
 #include "core/eval/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "serve/evaluator_pool.hpp"
@@ -50,8 +53,10 @@ struct ServerOptions {
   /// are rejected with SubmitStatus::Overloaded.
   std::size_t queue_capacity = 64;
   /// Share CandidateEvaluators across jobs with equal context
-  /// fingerprints. Off = every job evaluates with a private cold cache
-  /// (the reference behavior the differential tests compare against).
+  /// fingerprints, and pruned prediction lists across pruned jobs through
+  /// the server's PredictionCache. Off = every job predicts and evaluates
+  /// with private cold caches (the reference behavior the differential
+  /// tests compare against).
   bool share_evaluators = true;
   std::size_t evaluator_pool_capacity = 8;
   std::size_t cache_entries_per_context =
@@ -117,6 +122,7 @@ struct ServerStats {
   std::uint64_t failed = 0;
   EvaluatorPool::Stats evaluator_pool{};
   core::CandidateEvaluator::Stats eval_cache{};
+  core::PredictionCache::Stats prediction_cache{};
 };
 
 class ChopServer {
@@ -189,6 +195,10 @@ class ChopServer {
   ServerOptions options_;
   JobQueue queue_;
   EvaluatorPool evaluator_pool_;
+  /// Pruned prediction lists shared by every pruned job's session (see
+  /// core/eval/prediction_cache.hpp). Scoped to this server, so two
+  /// servers in one process never see each other's entries.
+  core::PredictionCache prediction_cache_;
   const std::chrono::steady_clock::time_point started_at_ =
       std::chrono::steady_clock::now();
 

@@ -315,6 +315,16 @@ std::string Service::handle_stats() {
   cache.set("evictions",
             JsonValue(static_cast<double>(stats.eval_cache.evictions)));
   response.set("eval_cache", std::move(cache));
+
+  JsonValue predictions;
+  predictions.set("hits",
+                  JsonValue(static_cast<double>(stats.prediction_cache.hits)));
+  predictions.set(
+      "misses", JsonValue(static_cast<double>(stats.prediction_cache.misses)));
+  predictions.set(
+      "entries",
+      JsonValue(static_cast<double>(stats.prediction_cache.entries)));
+  response.set("prediction_cache", std::move(predictions));
   return response.dump();
 }
 

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "core/session.hpp"
+#include "io/spec_format.hpp"
 #include "io/spec_writer.hpp"
+#include "obs/metrics.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -232,34 +234,157 @@ TEST(ServeServer, ServedResultIsByteIdenticalToDirectRun) {
   EXPECT_EQ(view.result_json, expected);
 }
 
+/// A §2.7 revision chain on `project`: move an op, swap a package, set
+/// the clock, tighten the budget.
+std::vector<serve::DeltaSpec> revise_chain(const io::Project& project) {
+  std::vector<serve::DeltaSpec> chain;
+  io::Project state = project;
+  serve::DeltaSpec move;
+  move.kind = serve::DeltaSpec::Kind::MoveOp;
+  for (const core::Partition& from : state.partitions) {
+    for (const core::Partition& to : state.partitions) {
+      if (&from == &to || from.members.size() < 2) continue;
+      for (dfg::NodeId op : from.members) {
+        move.op_name = state.graph.node(op).name;
+        move.partition = to.name;
+        try {
+          (void)serve::apply_delta(state, move).make_session();
+        } catch (const Error&) {
+          continue;  // leaves an invalid partitioning
+        }
+        chain.push_back(move);
+        break;
+      }
+      if (!chain.empty()) break;
+    }
+    if (!chain.empty()) break;
+  }
+  state = serve::apply_delta(state, chain.at(0));
+
+  const chip::ChipInstance& used =
+      state.chips.at(static_cast<std::size_t>(state.partitions[0].chip));
+  serve::DeltaSpec package;
+  package.kind = serve::DeltaSpec::Kind::ReplacePackage;
+  package.chip = used.name;
+  package.package = used.package.pin_count == 64 ? "mosis84" : "mosis64";
+  chain.push_back(package);
+
+  serve::DeltaSpec clock;
+  clock.kind = serve::DeltaSpec::Kind::SetClock;
+  clock.main_clock_ns = state.config.clocks.main_clock * 1.1;
+  clock.datapath_multiplier = state.config.clocks.datapath_multiplier;
+  clock.transfer_multiplier = state.config.clocks.transfer_multiplier;
+  chain.push_back(clock);
+
+  serve::DeltaSpec budget;
+  budget.kind = serve::DeltaSpec::Kind::SetConstraints;
+  budget.performance_ns = state.config.constraints.performance_ns * 0.9;
+  budget.delay_ns = state.config.constraints.delay_ns * 0.9;
+  chain.push_back(budget);
+  return chain;
+}
+
 TEST(ServeServer, SharedCacheDoesNotChangeResults) {
-  const io::Project project = testing::build_scenario(small_knobs(21));
+  // Through .chop text, as a client sends it: that names every op, which
+  // move_op needs.
+  const io::Project project = io::parse_project_string(
+      io::write_project_string(testing::build_scenario(small_knobs(21))));
   serve::JobOptions job;
   job.heuristic = core::Heuristic::Enumeration;
-  const std::string expected = direct_render(project, job);
+  serve::JobOptions keep_all = job;
+  keep_all.keep_all = true;
+  const std::vector<serve::DeltaSpec> chain = revise_chain(project);
 
-  for (const bool share : {true, false}) {
+  // The cold references: a fresh session per project state.
+  struct Cold {
+    std::string json;
+    core::PredictionStats stats;
+  };
+  const auto cold = [](const io::Project& state, const serve::JobOptions& o) {
+    core::ChopSession session = state.make_session();
+    return Cold{direct_render(state, o), session.predict_partitions()};
+  };
+  std::vector<Cold> expected_chain;
+  io::Project state = project;
+  for (const serve::DeltaSpec& delta : chain) {
+    state = serve::apply_delta(state, delta);
+    expected_chain.push_back(cold(state, job));
+  }
+  const Cold expected_base = cold(project, job);
+  const Cold expected_keep_all = cold(project, keep_all);
+
+  const auto expect_cold = [](const serve::JobView& view, const Cold& ref) {
+    ASSERT_EQ(view.state, serve::JobState::Done);
+    EXPECT_EQ(view.result_json, ref.json);
+    EXPECT_EQ(view.prediction_stats.total, ref.stats.total);
+    EXPECT_EQ(view.prediction_stats.feasible, ref.stats.feasible);
+  };
+
+  obs::Counter& schedules =
+      obs::MetricsRegistry::global().counter("bad.schedules");
+  std::vector<std::uint64_t> scheduled;  // per server
+  // Sharing on twice (fresh servers must do equal work), then off. Jobs
+  // run one at a time so the prediction work is deterministic.
+  for (const bool share : {true, true, false}) {
+    SCOPED_TRACE(share ? "sharing on" : "sharing off");
     serve::ServerOptions options;
     options.workers = 2;
     options.share_evaluators = share;
     serve::ChopServer server(options);
-    std::vector<std::string> ids;
-    for (int i = 0; i < 4; ++i) {
+    const std::uint64_t schedules_before = schedules.value();
+    const auto wait = [&](const std::string& id) {
+      return server.view(id, /*wait_terminal=*/true);
+    };
+
+    std::string base_id;
+    for (int i = 0; i < 3; ++i) {
       const serve::SubmitOutcome out = server.submit(project, job);
       ASSERT_EQ(out.status, serve::SubmitStatus::Accepted);
-      ids.push_back(out.id);
+      expect_cold(wait(out.id), expected_base);
+      if (i == 0) base_id = out.id;
     }
-    for (const std::string& id : ids) {
-      const serve::JobView view = server.view(id, /*wait_terminal=*/true);
-      ASSERT_EQ(view.state, serve::JobState::Done);
-      EXPECT_EQ(view.result_json, expected);
+    std::string prev = base_id;
+    for (std::size_t r = 0; r < chain.size(); ++r) {
+      const serve::ReviseOutcome out = server.revise(prev, chain[r]);
+      ASSERT_EQ(out.status, serve::ReviseStatus::Accepted);
+      expect_cold(wait(out.submit.id), expected_chain[r]);
+      prev = out.submit.id;
     }
+    // A keep-all job on the cached base reads raw lists: never shared.
+    const serve::SubmitOutcome all = server.submit(project, keep_all);
+    ASSERT_EQ(all.status, serve::SubmitStatus::Accepted);
+    expect_cold(wait(all.id), expected_keep_all);
+    scheduled.push_back(schedules.value() - schedules_before);
+
+    const serve::ServerStats stats = server.stats();
     if (share) {
-      // Jobs 2..4 hit job 1's warm cache.
-      EXPECT_GT(server.stats().eval_cache.hits, 0u);
-      EXPECT_EQ(server.stats().evaluator_pool.reused, 3u);
+      // Base jobs 2 and 3 hit job 1's warm caches; so do the budget
+      // revision (same core fingerprint as the clock revision before it)
+      // and the keep-all job on the base.
+      EXPECT_GT(stats.eval_cache.hits, 0u);
+      EXPECT_EQ(stats.evaluator_pool.reused, 4u);
+      EXPECT_GE(stats.prediction_cache.hits, 2 * project.partitions.size());
+      EXPECT_GT(stats.prediction_cache.entries, 0u);
+    } else {
+      EXPECT_EQ(stats.prediction_cache.hits, 0u);
+      EXPECT_EQ(stats.prediction_cache.misses, 0u);
+      EXPECT_EQ(stats.prediction_cache.entries, 0u);
     }
   }
+  EXPECT_EQ(scheduled[0], scheduled[1]);
+  EXPECT_LT(scheduled[0], scheduled[2]);  // sharing skipped BAD runs
+}
+
+TEST(ServeServer, JobProfileAttributesPrediction) {
+  const io::Project project = testing::build_scenario(small_knobs());
+  serve::ChopServer server;
+  const serve::SubmitOutcome out = server.submit(project, {});
+  ASSERT_EQ(out.status, serve::SubmitStatus::Accepted);
+  const serve::JobView view = server.view(out.id, /*wait_terminal=*/true);
+  ASSERT_EQ(view.state, serve::JobState::Done);
+  const auto predict = static_cast<std::size_t>(obs::SearchPhase::kPredict);
+  EXPECT_EQ(view.profile.calls[predict], 1u);
+  EXPECT_GT(view.profile.ns[predict], 0u);
 }
 
 TEST(ServeServer, DuplicateIdAndUnknownIdAreRejected) {
@@ -394,6 +519,24 @@ TEST(ServeService, SubmitStatusResultRoundTrip) {
 
   const std::string stats_response = service.handle_line(R"({"op":"stats"})");
   EXPECT_NE(stats_response.find("\"ok\":true"), std::string::npos);
+  // The one job predicted every partition through the shared cache.
+  const serve::JsonValue stats = serve::JsonValue::parse(stats_response);
+  const serve::JsonValue* predictions = stats.find("prediction_cache");
+  ASSERT_NE(predictions, nullptr);
+  EXPECT_EQ(predictions->find("hits")->as_number(), 0.0);
+  EXPECT_EQ(predictions->find("misses")->as_number(),
+            static_cast<double>(project.partitions.size()));
+  EXPECT_EQ(predictions->find("entries")->as_number(),
+            static_cast<double>(project.partitions.size()));
+
+  // The Prometheus export carries the registry's cache counters and gauge.
+  const std::string prom =
+      service.handle_line(R"({"op":"metrics","format":"prometheus"})");
+  EXPECT_NE(prom.find("chop_bad_prediction_cache_misses_total"),
+            std::string::npos);
+  EXPECT_NE(prom.find("chop_bad_prediction_cache_hits_total"),
+            std::string::npos);
+  EXPECT_NE(prom.find("chop_bad_prediction_cache_entries"), std::string::npos);
 }
 
 TEST(ServeService, MalformedLinesGetStructuredErrors) {

@@ -19,7 +19,9 @@
 //                          monopolizing workers
 //   --queue-cap=N          queued-job bound; beyond it submissions are
 //                          rejected with "overload" (default 64)
-//   --no-shared-cache      disable cross-request evaluator sharing
+//   --no-shared-cache      disable cross-request sharing: of evaluators
+//                          and of pruned prediction lists (every job
+//                          predicts and evaluates cold)
 //   --trace=<file>         Chrome trace-event JSON of the daemon's spans;
 //                          one connected tree per job (trace id minted at
 //                          submit, echoed in every response)
