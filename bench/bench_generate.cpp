@@ -13,7 +13,8 @@
 // 1k and 10k; `--huge` adds the 100k workload, where a single pipeline
 // evaluation costs minutes (prediction-dominated) and the stage runs for
 // the better part of an hour. Every run merges a scoreboard entry per
-// workload into BENCH_generate.json.
+// workload, stamped with the build type, commit and hardware threads, into
+// BENCH_generate.json.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -246,7 +247,8 @@ WorkloadReport run_workload(const std::string& key, int operations, int depth,
             << (report.deterministic ? "yes" : "NO — BUG") << "\n\n";
 
   std::ostringstream json;
-  json << "{\n    \"operations\": " << operations << ", \"chips\": " << k
+  json << "{\n    " << bench::run_metadata_json()
+       << ",\n    \"operations\": " << operations << ", \"chips\": " << k
        << ", \"starts\": " << scale_starts
        << ", \"evaluations\": " << best_run.evaluations
        << ", \"gated\": " << best_run.gated

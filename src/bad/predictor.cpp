@@ -179,6 +179,7 @@ std::vector<DesignPrediction> Predictor::predict(
     const std::vector<Cycles>& latency = *latency_opt;
     const ModuleSetContext ctx{&set, latency, busy_cycles_by_kind(g, latency),
                                &memory_accesses};
+    const sched::SchedulePlan plan(g, latency);
 
     // Allocation sweep: cartesian product of per-kind unit counts.
     std::vector<std::map<dfg::OpKind, int>> allocs{{}};
@@ -205,7 +206,7 @@ std::vector<DesignPrediction> Predictor::predict(
       limits.fu = alloc;
       limits.memory_ports = req.memory_ports;
 
-      const sched::OpSchedule nonpipe = sched::list_schedule(g, latency, limits);
+      const sched::OpSchedule nonpipe = sched::list_schedule(plan, limits);
       schedules.add();
       CHOP_ASSERT(nonpipe.feasible, "nonpipelined list schedule cannot fail");
       out.push_back(make_prediction(req, ctx, alloc, nonpipe,
@@ -214,12 +215,12 @@ std::vector<DesignPrediction> Predictor::predict(
 
       if (!req.style.allow_pipelining || stages <= 1) continue;
       const Cycles min_ii =
-          std::max<Cycles>(1, sched::min_initiation_interval(g, latency, limits));
+          std::max<Cycles>(1, sched::min_initiation_interval(plan, limits));
       Cycles ii_cap = stages - 1;
       if (req.max_ii_dp > 0) ii_cap = std::min(ii_cap, req.max_ii_dp);
       for (Cycles ii = min_ii; ii <= ii_cap; ++ii) {
         const sched::OpSchedule pipe =
-            sched::pipeline_schedule(g, latency, limits, ii);
+            sched::pipeline_schedule(plan, limits, ii);
         schedules.add();
         if (!pipe.feasible) continue;
         out.push_back(

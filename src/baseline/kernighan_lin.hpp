@@ -35,7 +35,9 @@ struct KlGraph {
 
 /// Runs Kernighan-Lin starting from `initial` (0/1 per vertex, must be
 /// balanced to within one vertex) until a pass yields no gain. Classic
-/// all-pairs greedy swapping with locked vertices per pass.
+/// greedy swapping with locked vertices per pass: each step swaps the
+/// unlocked pair of highest gain, the lexicographically smallest (a, b)
+/// among ties. Edge weights must be non-negative.
 KlResult kernighan_lin(const KlGraph& g, std::vector<int> initial);
 
 /// Balanced random initial assignment.

@@ -10,7 +10,6 @@ Bits register_demand(const dfg::Graph& g, std::span<const Cycles> latency,
                "latency vector size must match node count");
   CHOP_REQUIRE(schedule.start.size() == g.node_count(),
                "schedule does not belong to this graph");
-  const Cycles length = std::max<Cycles>(schedule.length, 1);
   const Cycles ii = std::max<Cycles>(schedule.initiation_interval, 1);
 
   // Alive interval [birth, death) per value-producing node, in absolute
@@ -48,16 +47,22 @@ Bits register_demand(const dfg::Graph& g, std::span<const Cycles> latency,
     if (life.death > life.birth) lives.push_back(life);
   }
 
-  // Bits alive across each boundary, folded modulo the II so overlapped
-  // iterations of a pipelined design share one accounting.
-  std::vector<Bits> phase(static_cast<std::size_t>(ii), 0);
+  // Bits alive across each boundary b (alive during cycle b going into
+  // b+1), folded modulo the II so overlapped iterations of a pipelined
+  // design share one accounting: a difference array over absolute
+  // boundaries, summed, then folded (concurrent iterations stack).
+  Cycles horizon = 0;
+  for (const Life& life : lives) horizon = std::max(horizon, life.death);
+  std::vector<Bits> delta(static_cast<std::size_t>(horizon) + 1, 0);
   for (const Life& life : lives) {
-    // Boundaries crossed: b in [birth, death), meaning alive during cycle b
-    // going into b+1; fold b mod ii, counting each folded phase once per
-    // crossing (concurrent iterations stack).
-    for (Cycles b = life.birth; b < life.death; ++b) {
-      phase[static_cast<std::size_t>(b % ii)] += life.width;
-    }
+    delta[static_cast<std::size_t>(life.birth)] += life.width;
+    delta[static_cast<std::size_t>(life.death)] -= life.width;
+  }
+  std::vector<Bits> phase(static_cast<std::size_t>(ii), 0);
+  Bits alive = 0;
+  for (Cycles b = 0; b < horizon; ++b) {
+    alive += delta[static_cast<std::size_t>(b)];
+    phase[static_cast<std::size_t>(b % ii)] += alive;
   }
   return phase.empty() ? 0 : *std::max_element(phase.begin(), phase.end());
 }

@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 
+#include "bad/latency_model.hpp"
 #include "chip/mosis_packages.hpp"
 #include "core/eval/candidate_evaluator.hpp"
 #include "core/eval/eval_delta.hpp"
@@ -16,7 +17,10 @@
 #include "exact/solver.hpp"
 #include "gen/generate.hpp"
 #include "io/spec_writer.hpp"
+#include "library/module_set.hpp"
 #include "obs/observer.hpp"
+#include "schedule/op_schedule.hpp"
+#include "schedule/schedule_check.hpp"
 #include "serve/protocol.hpp"
 #include "testing/properties.hpp"
 #include "util/error.hpp"
@@ -230,6 +234,62 @@ void check_statval(const StatVal& sv, const std::string& what,
     if (auto d = check_satisfies_monotone(sv, prob)) {
       failures.push_back({"statval", what + ": " + *d});
       return;
+    }
+  }
+}
+
+/// schedule_valid: schedules partition `p` under each module set of the
+/// library with one unit per kind and with half as many units as
+/// operations, nonpipelined and at the three IIs from the resource bound
+/// up, and checks every schedule.
+void check_partition_schedules(const ChopSession& session,
+                               const lib::ComponentLibrary& library, int p,
+                               std::vector<OracleFailure>& failures) {
+  const dfg::Subgraph sub = session.partitioning().subgraph(p);
+  const dfg::Graph& g = sub.graph;
+  const core::ChopConfig& config = session.config();
+  const std::vector<dfg::OpKind> kinds = lib::functional_kinds(g);
+  if (!library.covers(kinds)) return;
+  const Ns overhead =
+      library.register_bit().delay + 2.0 * library.mux_bit().delay;
+  std::vector<Ns> access_time;
+  sched::ResourceLimits base;
+  const auto& blocks = session.partitioning().memory().blocks;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    access_time.push_back(blocks[b].access_time);
+    base.memory_ports[static_cast<int>(b)] = blocks[b].ports;
+  }
+  for (const lib::ModuleSet& set : lib::enumerate_module_sets(library, kinds)) {
+    const auto latency =
+        bad::operation_latencies(g, set, config.style.clocking, config.clocks,
+                                 overhead, access_time);
+    if (!latency) continue;
+    const sched::SchedulePlan plan(g, *latency);
+    for (const bool serial : {true, false}) {
+      sched::ResourceLimits limits = base;
+      for (dfg::OpKind kind : kinds) {
+        limits.fu[kind] =
+            serial ? 1
+                   : std::max(1, static_cast<int>(g.count_of_kind(kind)) / 2);
+      }
+      const auto check = [&](const sched::OpSchedule& s, Cycles ii) {
+        const sched::ScheduleCheck result =
+            sched::check_schedule(g, *latency, s, limits);
+        if (!result.ok) {
+          failures.push_back(
+              {"schedule_valid",
+               "partition " + std::to_string(p) + " " + set.label() +
+                   (ii > 0 ? " ii=" + std::to_string(ii) : " list") + ": " +
+                   result.detail});
+        }
+      };
+      check(sched::list_schedule(plan, limits), 0);
+      const Cycles min_ii = sched::min_initiation_interval(plan, limits);
+      for (Cycles ii = min_ii; ii < min_ii + 3; ++ii) {
+        const sched::OpSchedule pipe =
+            sched::pipeline_schedule(plan, limits, ii);
+        if (pipe.feasible) check(pipe, ii);
+      }
     }
   }
 }
@@ -592,6 +652,16 @@ ScenarioReport run_oracles(const io::Project& project,
                       tag + " area chip " + std::to_string(c),
                       report.failures);
       }
+    }
+
+    // --- Oracle: schedule validity --------------------------------------
+    // Every partition is list- and modulo-scheduled the way BAD does it
+    // (one plan per module set, several allocations and IIs) and each
+    // schedule is verified by the independent checker.
+    const int nparts =
+        static_cast<int>(session.partitioning().partitions().size());
+    for (int p = 0; p < nparts; ++p) {
+      check_partition_schedules(session, project.library, p, report.failures);
     }
 
     // --- Metamorphic group: constraint monotonicity --------------------

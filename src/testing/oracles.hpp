@@ -18,6 +18,8 @@
 //  tighten/loosen     tightening any hard constraint never grows the
 //                     feasible set; loosening never shrinks it; reserving
 //                     extra pins never adds feasible designs
+//  schedule_valid     every list and modulo schedule of every partition
+//                     passes the independent schedule checker
 //  statval            triangular-CDF probabilities stay in [0, 1], are
 //                     monotone in the query point, and satisfies() is
 //                     monotone in the constraint bound

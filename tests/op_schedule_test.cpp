@@ -1,5 +1,6 @@
 // Tests for resource-constrained list scheduling and Sehwa-style modulo
-// (pipeline) scheduling, including property sweeps over random graphs.
+// (pipeline) scheduling, including property sweeps over random graphs, and
+// for the independent schedule checker those tests rely on.
 #include "schedule/op_schedule.hpp"
 
 #include <gtest/gtest.h>
@@ -8,61 +9,18 @@
 
 #include "dfg/benchmarks.hpp"
 #include "dfg/generator.hpp"
+#include "schedule/schedule_check.hpp"
 
 namespace chop::sched {
 namespace {
 
 using dfg::OpKind;
 
-/// Checks every precedence edge: consumer starts after producer finishes.
-void expect_precedence_respected(const dfg::Graph& g,
-                                 std::span<const Cycles> lat,
-                                 const OpSchedule& s) {
-  for (std::size_t e = 0; e < g.edge_count(); ++e) {
-    const dfg::Edge& edge = g.edge(static_cast<dfg::EdgeId>(e));
-    const auto src = static_cast<std::size_t>(edge.src);
-    const auto dst = static_cast<std::size_t>(edge.dst);
-    EXPECT_GE(s.start[dst], s.start[src] + lat[src])
-        << "edge " << edge.src << "->" << edge.dst;
-  }
-}
-
-/// Checks per-cycle (and per-phase when ii > 0) resource usage.
-void expect_resources_respected(const dfg::Graph& g,
-                                std::span<const Cycles> lat,
-                                const OpSchedule& s,
-                                const ResourceLimits& limits, Cycles ii) {
-  std::map<OpKind, std::map<Cycles, int>> usage;
-  std::map<OpKind, std::map<Cycles, int>> phase_usage;
-  for (std::size_t i = 0; i < g.node_count(); ++i) {
-    const dfg::Node& n = g.node(static_cast<dfg::NodeId>(i));
-    if (!dfg::needs_functional_unit(n.kind) || lat[i] == 0) continue;
-    for (Cycles c = s.start[i]; c < s.start[i] + lat[i]; ++c) {
-      usage[n.kind][c]++;
-    }
-    if (ii > 0) {
-      const Cycles span = std::min(lat[i], ii);
-      for (Cycles j = 0; j < span; ++j) {
-        phase_usage[n.kind][(s.start[i] + j) % ii]++;
-      }
-    }
-  }
-  for (const auto& [kind, per_cycle] : usage) {
-    auto it = limits.fu.find(kind);
-    if (it == limits.fu.end()) continue;
-    for (const auto& [cycle, used] : per_cycle) {
-      EXPECT_LE(used, it->second)
-          << dfg::to_string(kind) << " oversubscribed at cycle " << cycle;
-    }
-  }
-  for (const auto& [kind, per_phase] : phase_usage) {
-    auto it = limits.fu.find(kind);
-    if (it == limits.fu.end()) continue;
-    for (const auto& [phase, used] : per_phase) {
-      EXPECT_LE(used, it->second)
-          << dfg::to_string(kind) << " modulo-oversubscribed, phase " << phase;
-    }
-  }
+/// Checks the schedule with the independent checker.
+void expect_valid(const dfg::Graph& g, std::span<const Cycles> lat,
+                  const OpSchedule& s, const ResourceLimits& limits) {
+  const ScheduleCheck check = check_schedule(g, lat, s, limits);
+  EXPECT_TRUE(check.ok) << check.detail;
 }
 
 TEST(ListSchedule, SerialSingleUnit) {
@@ -77,8 +35,7 @@ TEST(ListSchedule, SerialSingleUnit) {
   // serialized) and at most 31 (everything serialized).
   EXPECT_GE(s.length, 16);
   EXPECT_LE(s.length, 31);
-  expect_precedence_respected(fir.graph, lat, s);
-  expect_resources_respected(fir.graph, lat, s, limits, 0);
+  expect_valid(fir.graph, lat, s, limits);
 }
 
 TEST(ListSchedule, UnlimitedResourcesReachAsapLength) {
@@ -162,8 +119,7 @@ TEST(PipelineSchedule, AchievesMinIiOnArFilter) {
   const OpSchedule s = pipeline_schedule(ar.graph, lat, limits, ii);
   ASSERT_TRUE(s.feasible);
   EXPECT_EQ(s.initiation_interval, ii);
-  expect_precedence_respected(ar.graph, lat, s);
-  expect_resources_respected(ar.graph, lat, s, limits, ii);
+  expect_valid(ar.graph, lat, s, limits);
 }
 
 TEST(PipelineSchedule, InfeasibleBelowResourceBound) {
@@ -187,6 +143,137 @@ TEST(ListSchedule, RejectsWrongLatencySize) {
   const dfg::BenchmarkGraph fir = dfg::fir16();
   std::vector<Cycles> lat(3, 1);
   EXPECT_THROW(list_schedule(fir.graph, lat, ResourceLimits{}), Error);
+}
+
+// ---- the independent schedule checker ----
+
+/// in -> m1, m2 (muls) -> a (add) -> out, and a memory read feeding a.
+struct CheckFixture {
+  dfg::Graph g{"check"};
+  dfg::NodeId m1, m2, r, a;
+  std::vector<Cycles> lat;
+  CheckFixture() {
+    const auto in = g.add_input("in", 16);
+    m1 = g.add_op(OpKind::Mul, 16, {in, in});
+    m2 = g.add_op(OpKind::Mul, 16, {in, in});
+    r = g.add_mem_read(0, 16, dfg::kNoNode, "r");
+    a = g.add_op(OpKind::Add, 16, {m1, m2});
+    const auto a2 = g.add_op(OpKind::Add, 16, {a, r});
+    g.add_output("y", a2);
+    lat.assign(g.node_count(), 0);
+    for (dfg::NodeId id : {m1, m2}) lat[static_cast<std::size_t>(id)] = 2;
+    for (dfg::NodeId id : {r, a, a2}) lat[static_cast<std::size_t>(id)] = 1;
+  }
+  Cycles& start(dfg::NodeId id, OpSchedule& s) const {
+    return s.start[static_cast<std::size_t>(id)];
+  }
+};
+
+TEST(ScheduleCheck, AcceptsSchedulerOutput) {
+  const CheckFixture f;
+  ResourceLimits limits;
+  limits.fu[OpKind::Mul] = 1;
+  limits.fu[OpKind::Add] = 1;
+  limits.memory_ports[0] = 1;
+  const OpSchedule list = list_schedule(f.g, f.lat, limits);
+  EXPECT_TRUE(check_schedule(f.g, f.lat, list, limits).ok);
+  const OpSchedule pipe = pipeline_schedule(f.g, f.lat, limits, 4);
+  ASSERT_TRUE(pipe.feasible);
+  EXPECT_TRUE(check_schedule(f.g, f.lat, pipe, limits).ok);
+}
+
+TEST(ScheduleCheck, RejectsEachBrokenRule) {
+  const CheckFixture f;
+  ResourceLimits limits;
+  limits.fu[OpKind::Mul] = 1;
+  limits.fu[OpKind::Add] = 1;
+  limits.memory_ports[0] = 1;
+  const OpSchedule good = list_schedule(f.g, f.lat, limits);
+  ASSERT_TRUE(check_schedule(f.g, f.lat, good, limits).ok);
+
+  // The add starts before its second multiply finishes.
+  OpSchedule early = good;
+  f.start(f.a, early) = std::max(f.start(f.m1, early), f.start(f.m2, early));
+  const ScheduleCheck precedence = check_schedule(f.g, f.lat, early, limits);
+  EXPECT_FALSE(precedence.ok);
+  EXPECT_NE(precedence.detail.find("edge"), std::string::npos);
+
+  // Both multiplies on the one multiplier at once.
+  ResourceLimits two_muls = limits;
+  two_muls.fu[OpKind::Mul] = 2;
+  const OpSchedule parallel = list_schedule(f.g, f.lat, two_muls);
+  ASSERT_EQ(parallel.start[static_cast<std::size_t>(f.m1)],
+            parallel.start[static_cast<std::size_t>(f.m2)]);
+  EXPECT_TRUE(check_schedule(f.g, f.lat, parallel, two_muls).ok);
+  const ScheduleCheck cycle = check_schedule(f.g, f.lat, parallel, limits);
+  EXPECT_FALSE(cycle.ok);
+  EXPECT_NE(cycle.detail.find("mul oversubscribed at cycle"),
+            std::string::npos)
+      << cycle.detail;
+
+  // Memory ports count like units.
+  ResourceLimits no_port = limits;
+  no_port.memory_ports[0] = 0;
+  const ScheduleCheck port = check_schedule(f.g, f.lat, good, no_port);
+  EXPECT_FALSE(port.ok);
+  EXPECT_NE(port.detail.find("memory block 0"), std::string::npos)
+      << port.detail;
+
+  // Modulo reuse: the multiplies do not overlap in time, but fold onto
+  // the same phases at II 2.
+  OpSchedule folded = good;
+  folded.initiation_interval = 2;
+  const ScheduleCheck modulo = check_schedule(f.g, f.lat, folded, limits);
+  EXPECT_FALSE(modulo.ok);
+  EXPECT_NE(modulo.detail.find("modulo II 2"), std::string::npos)
+      << modulo.detail;
+
+  OpSchedule short_length = good;
+  short_length.length -= 1;
+  EXPECT_FALSE(check_schedule(f.g, f.lat, short_length, limits).ok);
+
+  OpSchedule infeasible = good;
+  infeasible.feasible = false;
+  EXPECT_FALSE(check_schedule(f.g, f.lat, infeasible, limits).ok);
+}
+
+/// One plan serves every allocation and II, with the same results as a
+/// fresh plan per call.
+TEST(SchedulePlan, ReuseMatchesFreshPlans) {
+  Rng rng(31);
+  dfg::RandomDagSpec spec;
+  spec.operations = 60;
+  spec.depth = 6;
+  spec.memory_blocks = 2;
+  spec.mem_reads = 4;
+  spec.mem_writes = 2;
+  const dfg::BenchmarkGraph bg = dfg::random_dag(rng, spec);
+  std::vector<Cycles> lat = dfg::unit_latencies(bg.graph);
+  for (std::size_t i = 0; i < lat.size(); ++i) {
+    if (lat[i] > 0) lat[i] = rng.uniform(1, 3);
+  }
+  const SchedulePlan plan(bg.graph, lat);
+  for (int units = 1; units <= 4; ++units) {
+    ResourceLimits limits;
+    limits.fu[OpKind::Mul] = units;
+    limits.fu[OpKind::Add] = 5 - units;
+    limits.memory_ports[0] = 1;
+    const OpSchedule list = list_schedule(plan, limits);
+    const OpSchedule fresh = list_schedule(bg.graph, lat, limits);
+    EXPECT_EQ(list.start, fresh.start);
+    EXPECT_EQ(list.length, fresh.length);
+    expect_valid(bg.graph, lat, list, limits);
+    const Cycles min_ii = min_initiation_interval(plan, limits);
+    EXPECT_EQ(min_ii, min_initiation_interval(bg.graph, lat, limits));
+    for (Cycles ii = min_ii; ii <= min_ii + 3; ++ii) {
+      const OpSchedule pipe = pipeline_schedule(plan, limits, ii);
+      const OpSchedule pipe_fresh =
+          pipeline_schedule(bg.graph, lat, limits, ii);
+      EXPECT_EQ(pipe.feasible, pipe_fresh.feasible);
+      EXPECT_EQ(pipe.start, pipe_fresh.start);
+      if (pipe.feasible) expect_valid(bg.graph, lat, pipe, limits);
+    }
+  }
 }
 
 // ---- property sweep over random graphs ----
@@ -215,8 +302,7 @@ TEST_P(ScheduleProperty, ListScheduleValid) {
   const OpSchedule s = list_schedule(bg.graph, lat, limits);
   ASSERT_TRUE(s.feasible);
   EXPECT_GE(s.length, static_cast<Cycles>(p.depth));
-  expect_precedence_respected(bg.graph, lat, s);
-  expect_resources_respected(bg.graph, lat, s, limits, 0);
+  expect_valid(bg.graph, lat, s, limits);
 }
 
 TEST_P(ScheduleProperty, PipelineScheduleValidAtFeasibleIi) {
@@ -234,8 +320,7 @@ TEST_P(ScheduleProperty, PipelineScheduleValidAtFeasibleIi) {
   for (Cycles ii = min_ii; ii <= min_ii + 2; ++ii) {
     const OpSchedule s = pipeline_schedule(bg.graph, lat, limits, ii);
     if (!s.feasible) continue;  // greedy modulo scheduling may miss min II
-    expect_precedence_respected(bg.graph, lat, s);
-    expect_resources_respected(bg.graph, lat, s, limits, ii);
+    expect_valid(bg.graph, lat, s, limits);
   }
   // Far above the bound the schedule must exist.
   const OpSchedule relaxed = pipeline_schedule(

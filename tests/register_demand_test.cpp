@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dfg/analysis.hpp"
 #include "dfg/benchmarks.hpp"
+#include "dfg/generator.hpp"
 
 namespace chop::sched {
 namespace {
@@ -121,6 +125,80 @@ TEST(RegisterDemand, ArFilterSerialVsParallel) {
     const Bits demand = register_demand(ar.graph, lat, s);
     EXPECT_GE(demand, 16);
     EXPECT_LE(demand, 16 * 28);
+  }
+}
+
+/// Brute-force reference: every value adds its width at every boundary it
+/// crosses, folded modulo the II.
+Bits reference_demand(const dfg::Graph& g, std::span<const Cycles> lat,
+                      const OpSchedule& s) {
+  const Cycles ii = std::max<Cycles>(s.initiation_interval, 1);
+  std::vector<Bits> phase(static_cast<std::size_t>(ii), 0);
+  for (std::size_t i = 0; i < g.node_count(); ++i) {
+    const dfg::NodeId id = static_cast<dfg::NodeId>(i);
+    const dfg::Node& n = g.node(id);
+    if (n.kind == OpKind::Output || n.kind == OpKind::Input || n.width == 0) {
+      continue;
+    }
+    const Cycles birth = s.start[i] + lat[i];
+    Cycles death = birth;
+    for (dfg::EdgeId e : g.fanout(id)) {
+      const auto d = static_cast<std::size_t>(g.edge(e).dst);
+      death = std::max(death, g.node(g.edge(e).dst).kind == OpKind::Output
+                                  ? birth + 1
+                                  : s.start[d] + lat[d]);
+    }
+    for (Cycles b = birth; b < death; ++b) {
+      phase[static_cast<std::size_t>(b % ii)] += n.width;
+    }
+  }
+  return *std::max_element(phase.begin(), phase.end());
+}
+
+TEST(RegisterDemand, MatchesPerBoundaryReference) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    dfg::RandomDagSpec spec;
+    spec.operations = static_cast<int>(rng.uniform(1, 120));
+    spec.depth =
+        static_cast<int>(rng.uniform(1, std::min(10, spec.operations)));
+    spec.width = static_cast<Bits>(rng.uniform(1, 32));
+    spec.memory_blocks = 1;
+    spec.mem_reads = static_cast<int>(rng.uniform(0, 3));
+    spec.mem_writes = static_cast<int>(rng.uniform(0, 2));
+    const dfg::BenchmarkGraph bg = dfg::random_dag(rng, spec);
+    const dfg::Graph& g = bg.graph;
+    std::vector<Cycles> lat = dfg::unit_latencies(g);
+    for (Cycles& l : lat) l = l > 0 ? rng.uniform(0, 4) : 0;
+
+    // Scheduler output, nonpipelined and folded at every II up to its
+    // length.
+    ResourceLimits limits;
+    limits.fu[OpKind::Mul] = static_cast<int>(rng.uniform(1, 4));
+    limits.fu[OpKind::Add] = static_cast<int>(rng.uniform(1, 4));
+    const OpSchedule list = list_schedule(g, lat, limits);
+    EXPECT_EQ(register_demand(g, lat, list), reference_demand(g, lat, list))
+        << "seed " << seed;
+    for (Cycles ii = 1; ii <= list.length; ++ii) {
+      const OpSchedule pipe = pipeline_schedule(g, lat, limits, ii);
+      if (!pipe.feasible) continue;
+      EXPECT_EQ(register_demand(g, lat, pipe), reference_demand(g, lat, pipe))
+          << "seed " << seed << " ii " << ii;
+    }
+
+    // Arbitrary start times (lifetimes may be empty or long) and IIs.
+    OpSchedule random;
+    random.feasible = true;
+    for (std::size_t i = 0; i < g.node_count(); ++i) {
+      random.start.push_back(rng.uniform(0, 30));
+      random.length = std::max(random.length, random.start.back() + lat[i]);
+    }
+    for (Cycles ii : {Cycles{0}, Cycles{1}, rng.uniform(2, 7), random.length}) {
+      random.initiation_interval = ii;
+      EXPECT_EQ(register_demand(g, lat, random),
+                reference_demand(g, lat, random))
+          << "seed " << seed << " random starts, ii " << ii;
+    }
   }
 }
 
