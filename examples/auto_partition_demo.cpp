@@ -1,6 +1,7 @@
 // The fully automated designer loop: automatic behavioral partitioning
-// (greedy operation migration under predict-and-search feedback) combined
-// with automatic memory placement — the closed-loop version of the
+// (the multilevel generator: coarsen, seed, then boundary moves under
+// predict-and-search feedback) combined with automatic memory
+// placement — the closed-loop version of the
 // paper's Figure-1 cycle, exercising its "system-level advising" and
 // "task creation" applications plus the §2.2 memory/behavior interleaving
 // it left as future work.
@@ -9,9 +10,9 @@
 #include <iostream>
 
 #include "chip/mosis_packages.hpp"
-#include "core/auto_partition.hpp"
 #include "core/memory_optimizer.hpp"
 #include "dfg/benchmarks.hpp"
+#include "gen/generate.hpp"
 #include "library/experiment_library.hpp"
 
 int main() {
@@ -35,25 +36,27 @@ int main() {
   config.clocks = {300.0, 10, 1};
   config.constraints = {30000.0, 60000.0};
 
-  std::cout << "Step 1: automatic behavioral partitioning (greedy operation "
-               "migration)\n";
-  const core::AutoPartitionResult auto_result =
-      core::auto_partition(arm.graph, library, chips, memory, config);
-  for (const std::string& line : auto_result.log) {
+  std::cout << "Step 1: automatic behavioral partitioning (multilevel "
+               "generation)\n";
+  gen::GenerateOptions options;
+  options.max_candidates_per_level = 12;
+  const gen::GenerateResult generated =
+      gen::generate_partitions(arm.graph, library, chips, memory, config,
+                               options);
+  for (const std::string& line : generated.log) {
     std::cout << "  " << line << "\n";
   }
-  std::cout << "  (" << auto_result.evaluations
-            << " predict+search evaluations, " << auto_result.accepted_moves
-            << " accepted moves)\n\n";
-  if (!auto_result.feasible()) {
+  std::cout << "  (" << generated.evaluations
+            << " predict+search evaluations)\n\n";
+  if (!generated.feasible()) {
     std::cout << "no feasible partitioning found\n";
     return 1;
   }
 
   std::cout << "Step 2: automatic memory placement on the chosen cut\n";
   core::Partitioning pt(arm.graph, chips, memory);
-  for (std::size_t p = 0; p < auto_result.members.size(); ++p) {
-    pt.add_partition("P" + std::to_string(p + 1), auto_result.members[p],
+  for (std::size_t p = 0; p < generated.members.size(); ++p) {
+    pt.add_partition("P" + std::to_string(p + 1), generated.members[p],
                      static_cast<int>(p));
   }
   core::ChopSession session(library, std::move(pt), config);

@@ -8,7 +8,6 @@
 // handing the result to CHOP.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "dfg/graph.hpp"
@@ -38,26 +37,5 @@ std::vector<std::vector<dfg::NodeId>> make_acyclic(
 /// exactly k must check. Requires ops.size() >= k.
 std::vector<std::vector<dfg::NodeId>> repaired_kl_partition(
     const dfg::Graph& g, const std::vector<dfg::NodeId>& ops, int k, Rng& rng);
-
-/// Uniform random cut repaired with make_acyclic(). Same part-count caveat
-/// as repaired_kl_partition.
-std::vector<std::vector<dfg::NodeId>> repaired_random_partition(
-    const dfg::Graph& g, const std::vector<dfg::NodeId>& ops, int k, Rng& rng);
-
-/// One named candidate seed cut for a multi-start partitioner.
-struct SeedPartition {
-  std::string name;
-  std::vector<std::vector<dfg::NodeId>> parts;
-};
-
-/// The shared seed recipe of core::auto_partition and the gen portfolio:
-/// a level-order cut first (always quotient-acyclic), one repaired KL cut
-/// when `count` >= 2 and the graph is big enough to bisect (ops >= 2k),
-/// then repaired random cuts until `count` seeds exist. Repaired entries
-/// may carry fewer than k parts (see repaired_kl_partition); callers skip
-/// those.
-std::vector<SeedPartition> diverse_seed_partitions(
-    const dfg::Graph& g, const std::vector<dfg::NodeId>& ops, int k, int count,
-    Rng& rng);
 
 }  // namespace chop::baseline

@@ -28,7 +28,6 @@
 #include "bad/testability.hpp"
 
 // CHOP itself.
-#include "core/auto_partition.hpp"
 #include "core/clock_explorer.hpp"
 #include "core/constraints.hpp"
 #include "core/integration.hpp"
@@ -38,6 +37,9 @@
 #include "core/search.hpp"
 #include "core/session.hpp"
 #include "core/transfer.hpp"
+
+// Partition generation.
+#include "gen/generate.hpp"
 
 // Baselines.
 #include "baseline/kernighan_lin.hpp"

@@ -2,7 +2,7 @@
 // partitioning, its data-transfer tasks, the clock family, the constraint
 // budget, the feasibility criteria, and any extra reserved pins. Before
 // this layer existed every consumer (both search heuristics, the session,
-// auto_partition, the clock explorer, the memory optimizer) hand-threaded
+// the clock explorer, the memory optimizer) hand-threaded
 // the same six loose arguments into integrate(); the context collapses
 // those signatures to (context, selection, ii) and gives the memoizing
 // CandidateEvaluator a stable identity to key on.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <future>
 #include <limits>
 #include <memory>
@@ -578,33 +576,6 @@ class BoundedWalker {
   bool stopped_ = false;
 };
 
-/// True unless CHOP_BOUND_PRUNING is set to 0/false/off — the run-time
-/// escape hatch that disables branch-and-bound without a rebuild.
-/// Re-read on every search (one getenv per search, never per trial) so
-/// tests can toggle the variable within one process.
-bool bound_pruning_env_enabled() {
-  const char* env = std::getenv("CHOP_BOUND_PRUNING");
-  if (env == nullptr) return true;
-  std::string v(env);
-  for (char& c : v) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return !(v == "0" || v == "false" || v == "off");
-}
-
-/// True unless CHOP_SHARED_FRONTIER is set to 0/false/off — the run-time
-/// ablation switch for the cross-unit incumbent broadcast. Same contract
-/// and re-read cadence as CHOP_BOUND_PRUNING.
-bool shared_frontier_env_enabled() {
-  const char* env = std::getenv("CHOP_SHARED_FRONTIER");
-  if (env == nullptr) return true;
-  std::string v(env);
-  for (char& c : v) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return !(v == "0" || v == "false" || v == "off");
-}
-
 /// Greedy seed probes: per-partition argmin by (ii, latency) and by
 /// (latency, ii). Real integrations (counted as probe_integrations, not
 /// trials) whose feasible results seed every unit's incumbent frontier, so
@@ -704,7 +675,7 @@ SearchResult search_enumeration(const EvalContext& ctx,
     limit = options.max_trials;
   }
 
-  const bool bounded = options.bound_pruning && bound_pruning_env_enabled();
+  const bool bounded = options.bound_pruning;
   const UnitPlan plan = plan_units(space);
 
   obs::PhaseProfile* profile = options.profile;
@@ -738,8 +709,8 @@ SearchResult search_enumeration(const EvalContext& ctx,
   // Cross-unit incumbent broadcast (see SharedFrontier): bounded walks
   // only — the unbounded walk keeps no frontier — and pointless for a
   // single unit.
-  const bool share = bounded && options.shared_frontier &&
-                     shared_frontier_env_enabled() && plan.unit_count > 1;
+  const bool share =
+      bounded && options.shared_frontier && plan.unit_count > 1;
   SharedFrontier shared;
 
   // Deterministic wave schedule: with sharing, a wave's finds commit at

@@ -89,10 +89,9 @@ struct SearchOptions {
   /// earlier units' incumbents instead of only the seed probes. The
   /// design set is provably unchanged (strict-dominance cuts never
   /// remove a non-inferior design) and `trials` can only shrink; all
-  /// outputs stay identical across thread counts and schedules. Also
-  /// switchable off at run time via CHOP_SHARED_FRONTIER=0 (the env wins
-  /// over a `true` here only when set to a disabling value). Meaningless
-  /// — and ignored — when bound_pruning is off.
+  /// outputs stay identical across thread counts and schedules. The one
+  /// off switch (CLI: --no-shared-frontier). Meaningless — and ignored —
+  /// when bound_pruning is off.
   bool shared_frontier = true;
   /// Shared memo cache (not owned; may outlive many searches). When null,
   /// the search uses a private cache that lives for this call only —
@@ -115,10 +114,9 @@ struct SearchOptions {
   /// Admissible lower bounds cut subtrees that provably cannot contribute
   /// to `designs`, so the returned design set is byte-identical with the
   /// flag on or off; `trials` (visited leaves), and therefore the observer
-  /// sequence and recorder contents, shrink when subtrees are cut. Also
-  /// switchable off at run time via CHOP_BOUND_PRUNING=0 (env wins over a
-  /// `true` here only when set to a disabling value). The iterative
-  /// heuristic ignores this.
+  /// sequence and recorder contents, shrink when subtrees are cut. The
+  /// one off switch (CLI: --no-bound-pruning). The iterative heuristic
+  /// ignores this.
   bool bound_pruning = true;
   /// Session-owned memo for bound-table construction across §2.7
   /// revisions (see BoundTablesCache in core/eval/bound_state.hpp). Not

@@ -28,10 +28,9 @@ std::uint64_t mix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Comparable quality of one evaluated cut (same ordering as
-/// core::auto_partition): feasibility first, then II, delay, and — on the
-/// infeasible plateau — eligible prediction count and cut width as
-/// gradients.
+/// Comparable quality of one evaluated cut: feasibility first, then II,
+/// delay, and — on the infeasible plateau — eligible prediction count and
+/// cut width as gradients.
 struct Score {
   bool feasible = false;
   Cycles ii = std::numeric_limits<Cycles>::max();
@@ -148,7 +147,6 @@ struct Evaluation {
   Score score;
   std::vector<std::vector<dfg::NodeId>> members;
   core::SearchResult search;
-  bool searched = false;  ///< False when the prediction gate stopped it.
 };
 
 bool stop_requested(const GenContext& ctx) {
@@ -189,7 +187,6 @@ Evaluation evaluate_cut(const GenContext& ctx, StartOutcome& out,
     ++out.gated;  // nothing to search: the gate already has the verdict
     return ev;
   }
-  ev.searched = true;
   ev.search = session->search(ctx.search);
   if (!ev.search.designs.empty()) {
     ev.score.feasible = true;

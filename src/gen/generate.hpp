@@ -115,9 +115,9 @@ struct GenerateResult {
 };
 
 /// Generates partitionings of `spec` onto `chips` (one partition per
-/// chip, like core::auto_partition) under `config`. See the file comment
-/// for the algorithm and determinism contract. Throws chop::Error when no
-/// structurally valid cut can be built at all.
+/// chip) under `config`. See the file comment for the algorithm and
+/// determinism contract. Throws chop::Error when no structurally valid
+/// cut can be built at all.
 GenerateResult generate_partitions(const dfg::Graph& spec,
                                    const lib::ComponentLibrary& library,
                                    std::vector<chip::ChipInstance> chips,

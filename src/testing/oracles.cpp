@@ -320,8 +320,9 @@ ScenarioReport run_oracles(const io::Project& project,
 
     // --- Oracle: bound pruning vs exhaustive ---------------------------
     const SearchResult exhaustive = run_enumeration(session, false, 1, 0);
-    const SearchResult bounded = run_enumeration(
-        session, true, 1, core::CandidateEvaluator::kDefaultMaxEntries);
+    const SearchResult bounded =
+        run_enumeration(session, limits.bound_pruning, 1,
+                        core::CandidateEvaluator::kDefaultMaxEntries);
     report.designs = bounded.designs.size();
     report.trials = bounded.trials;
     if (auto d = diff_designs(exhaustive, bounded)) {
@@ -411,6 +412,7 @@ ScenarioReport run_oracles(const io::Project& project,
       opt.heuristic = core::Heuristic::Enumeration;
       opt.threads = 4;
       opt.evaluator = &evaluator;
+      opt.bound_pruning = limits.bound_pruning;
       opt.shared_frontier = false;
       const SearchResult frontier_off = session.search(opt);
       opt.shared_frontier = true;
@@ -445,13 +447,13 @@ ScenarioReport run_oracles(const io::Project& project,
     // --- Oracle: thread determinism ------------------------------------
     CaptureObserver serial_obs;
     const SearchResult serial =
-        run_enumeration(session, true, 1,
+        run_enumeration(session, limits.bound_pruning, 1,
                         core::CandidateEvaluator::kDefaultMaxEntries,
                         /*record_all=*/true, &serial_obs);
     for (const int threads : limits.thread_counts) {
       CaptureObserver parallel_obs;
       const SearchResult parallel =
-          run_enumeration(session, true, threads,
+          run_enumeration(session, limits.bound_pruning, threads,
                           core::CandidateEvaluator::kDefaultMaxEntries,
                           /*record_all=*/true, &parallel_obs);
       const std::string tag = "threads=" + std::to_string(threads) + ": ";
@@ -507,7 +509,8 @@ ScenarioReport run_oracles(const io::Project& project,
     }
 
     // --- Oracle: eval cache on/off -------------------------------------
-    const SearchResult uncached = run_enumeration(session, true, 1, 0);
+    const SearchResult uncached =
+        run_enumeration(session, limits.bound_pruning, 1, 0);
     if (auto d = diff_designs(bounded, uncached)) {
       report.failures.push_back({"eval_cache", *d});
     }
@@ -577,7 +580,8 @@ ScenarioReport run_oracles(const io::Project& project,
       try {
         ChopSession warm = project.make_session();
         warm.predict_partitions();
-        const SearchOptions opt;
+        SearchOptions opt;
+        opt.bound_pruning = limits.bound_pruning;
         (void)warm.research(opt);
         warm.apply(delta);
         const SearchResult incremental = warm.research(opt);

@@ -42,6 +42,11 @@ struct OracleLimits {
   std::size_t max_eligible_product = 20000;  ///< Bounded-search oracles.
   std::size_t max_raw_product = 60000;       ///< Metamorphic (raw-list) group.
   bool metamorphic = true;
+  /// Branch-and-bound in every bounded-search arm (the bound_pruning
+  /// oracle's bounded run, shared frontier, thread determinism, eval
+  /// cache, incremental research). False forces those arms onto the
+  /// exhaustive walk, like the CLI's --no-bound-pruning.
+  bool bound_pruning = true;
   std::vector<int> thread_counts = {2, 4, 8};
 };
 

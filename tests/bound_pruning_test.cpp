@@ -7,7 +7,6 @@
 // queries.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -281,34 +280,10 @@ TEST(BoundPruning, Fig8BoundedRunIdenticalAcrossThreadCounts) {
   }
 }
 
-/// Restores CHOP_BOUND_PRUNING on scope exit so one test cannot leak its
-/// environment into the rest of the suite.
-struct ScopedEnv {
-  explicit ScopedEnv(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-/// All three disable mechanisms — the SearchOptions flag (what the CLI's
-/// --no-bound-pruning sets), CHOP_BOUND_PRUNING=0, and its "false"/"off"
-/// spellings — must select the identical exhaustive path: every leaf
-/// visited, zero pruner activity, and the same design set.
+/// The SearchOptions flag (what the CLI's --no-bound-pruning sets) is the
+/// one switch: it must select the exhaustive path — every leaf visited,
+/// zero pruner activity, and the same design set as the bounded run.
 TEST(BoundPruning, DisableMechanismsAllSelectTheExhaustivePath) {
-  ScopedEnv guard("CHOP_BOUND_PRUNING");
-  unsetenv("CHOP_BOUND_PRUNING");
-
   ChopSession session = ar_session(1, 2);
   session.predict_partitions();
   const std::size_t product = eligible_product(session);
@@ -325,24 +300,7 @@ TEST(BoundPruning, DisableMechanismsAllSelectTheExhaustivePath) {
   EXPECT_GT(bounded.pruned_subtrees, 0u);
   EXPECT_LT(bounded.trials, product);
 
-  // Environment override: flag says prune, environment vetoes it. The
-  // variable is re-read per search, so setting it mid-process works.
-  for (const char* spelling : {"0", "false", "off", "OFF"}) {
-    SCOPED_TRACE(std::string("CHOP_BOUND_PRUNING=") + spelling);
-    setenv("CHOP_BOUND_PRUNING", spelling, 1);
-    const SearchResult via_env = run_search(session, true, 1);
-    EXPECT_EQ(via_env.trials, product);
-    EXPECT_EQ(via_env.pruned_subtrees, 0u);
-    EXPECT_EQ(via_env.bound_skipped_leaves, 0u);
-    EXPECT_EQ(via_env.probe_integrations, 0u);
-    expect_same_designs(via_flag, via_env);
-  }
-
-  // Any other value (including "1") leaves pruning enabled.
-  setenv("CHOP_BOUND_PRUNING", "1", 1);
-  const SearchResult reenabled = run_search(session, true, 1);
-  EXPECT_GT(reenabled.pruned_subtrees, 0u);
-  expect_same_designs(bounded, reenabled);
+  expect_same_designs(via_flag, bounded);
 }
 
 TEST(BoundPruning, TruncationDeterministicAcrossThreadCounts) {

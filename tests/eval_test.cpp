@@ -1,13 +1,12 @@
 // Tests for the evaluation-engine layer: EvalContext fingerprints,
 // CandidateEvaluator memoization correctness (cached results equal fresh
-// ones — across the iterative heuristic and an auto_partition run), and
-// the bounded-residency eviction guarantee.
+// ones across the iterative heuristic; generate_test.cpp covers a whole
+// partition-generation run), and the bounded-residency eviction guarantee.
 #include "core/eval/candidate_evaluator.hpp"
 
 #include <gtest/gtest.h>
 
 #include "chip/mosis_packages.hpp"
-#include "core/auto_partition.hpp"
 #include "core/session.hpp"
 #include "dfg/benchmarks.hpp"
 #include "library/experiment_library.hpp"
@@ -203,34 +202,6 @@ TEST(CandidateEvaluator, IterativeSearchCachedRunEqualsFreshRun) {
                               .snapshot()
                               .counters["eval.cache_hits"];
   EXPECT_GT(hits_after, hits_before);
-}
-
-TEST(CandidateEvaluator, AutoPartitionCachedRunEqualsFreshRun) {
-  static const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  std::vector<chip::ChipInstance> chips{{"c0", chip::mosis_package_84()},
-                                        {"c1", chip::mosis_package_84()}};
-  ChopConfig config;
-  config.style.clocking = bad::ClockingStyle::SingleCycle;
-  config.clocks = {300.0, 10, 1};
-  config.constraints = {30000.0, 30000.0};
-
-  AutoPartitionOptions cached_options;
-  cached_options.restarts = 2;
-  cached_options.max_iterations = 2;
-  const AutoPartitionResult cached = auto_partition(
-      ar.graph, library(), chips, {}, config, cached_options);
-
-  AutoPartitionOptions fresh_options = cached_options;
-  CandidateEvaluator no_cache(0);  // recompute every integration
-  fresh_options.search.evaluator = &no_cache;
-  const AutoPartitionResult fresh = auto_partition(
-      ar.graph, library(), chips, {}, config, fresh_options);
-
-  EXPECT_EQ(cached.members, fresh.members);
-  EXPECT_EQ(cached.accepted_moves, fresh.accepted_moves);
-  EXPECT_EQ(cached.evaluations, fresh.evaluations);
-  EXPECT_EQ(cached.log, fresh.log);
-  expect_same_designs(cached.search, fresh.search);
 }
 
 TEST(SearchMetrics, ProbeIntegrationsCounted) {

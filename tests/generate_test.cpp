@@ -13,11 +13,13 @@
 
 #include "baseline/partition_builders.hpp"
 #include "chip/mosis_packages.hpp"
+#include "core/eval/candidate_evaluator.hpp"
 #include "core/eval/thread_pool.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/generator.hpp"
 #include "gen/coarsen.hpp"
 #include "library/experiment_library.hpp"
+#include "obs/metrics.hpp"
 
 namespace chop::gen {
 namespace {
@@ -275,6 +277,197 @@ TEST(Generate, SharedEvaluatorGetsCrossStartHits) {
   // The final re-evaluation of the winning cut replays integrations the
   // winning start just computed, so shared-cache hits are guaranteed.
   EXPECT_GT(evaluator.stats().hits, 0u);
+}
+
+// --- Automatic partitioning of the paper's workloads --------------------
+// The generator is the one automatic partitioner; these cases pin its
+// quality on the AR filter (experiment 1 constraints), where the paper's
+// manual cuts reach II=30.
+
+const lib::ComponentLibrary& experiment_library() {
+  static const lib::ComponentLibrary library =
+      lib::dac91_experiment_library();
+  return library;
+}
+
+core::ChopConfig exp1_config() {
+  core::ChopConfig config;
+  config.style.clocking = bad::ClockingStyle::SingleCycle;
+  config.clocks = {300.0, 10, 1};
+  config.constraints = {30000.0, 30000.0};
+  return config;
+}
+
+/// Defaults plus the wider per-level candidate list that reaches the best
+/// cuts on these small graphs.
+GenerateOptions wide_options() {
+  GenerateOptions options;
+  options.max_candidates_per_level = 12;
+  return options;
+}
+
+std::size_t count_lines(const GenerateResult& r, const std::string& text) {
+  std::size_t n = 0;
+  for (const std::string& line : r.log) {
+    if (line.find(text) != std::string::npos) ++n;
+  }
+  return n;
+}
+
+/// Every member list covers each operation at most once; returns the
+/// number of operations covered.
+std::size_t covered_disjointly(const GenerateResult& r) {
+  std::set<dfg::NodeId> seen;
+  for (const auto& part : r.members) {
+    for (const dfg::NodeId id : part) EXPECT_TRUE(seen.insert(id).second);
+  }
+  return seen.size();
+}
+
+TEST(Generate, FindsFeasibleTwoChipCut) {
+  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
+  const GenerateResult r =
+      generate_partitions(ar.graph, experiment_library(), test_chips(2), {},
+                          exp1_config(), wide_options());
+  ASSERT_TRUE(r.feasible());
+  ASSERT_EQ(r.members.size(), 2u);
+  EXPECT_EQ(covered_disjointly(r), 28u);
+  EXPECT_GE(r.evaluations, 1u);
+  EXPECT_FALSE(r.log.empty());
+  // Matches (or beats) the paper's manual 2-way result of II=30.
+  ASSERT_FALSE(r.search.designs.empty());
+  EXPECT_LE(r.search.designs.front().integration.ii_main, 30);
+}
+
+TEST(Generate, ThreeChipCutMatchesManualII) {
+  // At the default 6 candidates per level this case stops at II=50.
+  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
+  const GenerateResult r =
+      generate_partitions(ar.graph, experiment_library(), test_chips(3), {},
+                          exp1_config(), wide_options());
+  ASSERT_TRUE(r.feasible());
+  ASSERT_EQ(r.members.size(), 3u);
+  EXPECT_EQ(covered_disjointly(r), 28u);
+  ASSERT_FALSE(r.search.designs.empty());
+  EXPECT_LE(r.search.designs.front().integration.ii_main, 30);
+}
+
+TEST(Generate, SingleChipDegenerates) {
+  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
+  const GenerateResult r =
+      generate_partitions(ar.graph, experiment_library(), test_chips(1), {},
+                          exp1_config(), wide_options());
+  ASSERT_EQ(r.members.size(), 1u);
+  EXPECT_EQ(r.members[0].size(), 28u);
+  EXPECT_EQ(count_lines(r, ": move "), 0u);  // no boundary to move across
+  EXPECT_TRUE(r.feasible());
+}
+
+TEST(Generate, LogNarratesDecisions) {
+  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
+  obs::Counter& moves =
+      obs::MetricsRegistry::global().counter("gen.moves_accepted");
+  const std::uint64_t moves_before = moves.value();
+  const GenerateResult r =
+      generate_partitions(ar.graph, experiment_library(), test_chips(2), {},
+                          exp1_config(), wide_options());
+  ASSERT_GE(r.log.size(), 2u);
+  EXPECT_EQ(r.log.front().rfind("coarsened", 0), 0u);
+  EXPECT_EQ(r.log.back().rfind("final", 0), 0u);
+  EXPECT_EQ(count_lines(r, ": seed ("), r.starts_run);
+  // One "move" line per accepted move, in every start.
+  EXPECT_EQ(count_lines(r, ": move "), moves.value() - moves_before);
+}
+
+TEST(Generate, HandlesMemoryWorkload) {
+  const dfg::BenchmarkGraph arm = dfg::ar_lattice_filter_with_memory();
+  chip::MemorySubsystem memory;
+  memory.blocks.push_back({"coeff", 16, 64, 1, 300.0, 4000.0, 3});
+  memory.blocks.push_back({"spill", 16, 256, 1, 300.0, 6000.0, 3});
+  memory.chip_of_block = {0, 1};
+  core::ChopConfig config = exp1_config();
+  config.constraints = {30000.0, 60000.0};
+  const GenerateResult r =
+      generate_partitions(arm.graph, experiment_library(), test_chips(2),
+                          memory, config, wide_options());
+  // Memory ops must be covered too (33 operations total).
+  EXPECT_EQ(covered_disjointly(r), arm.graph.operation_count() + 3);
+}
+
+TEST(Generate, RejectsBadOptions) {
+  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
+  GenerateOptions options;
+  options.max_candidates_per_level = 0;
+  EXPECT_THROW(generate_partitions(ar.graph, experiment_library(),
+                                   test_chips(1), {}, exp1_config(), options),
+               Error);
+  EXPECT_THROW(generate_partitions(ar.graph, experiment_library(), {}, {},
+                                   exp1_config()),
+               Error);
+}
+
+void expect_same_search(const core::SearchResult& a,
+                        const core::SearchResult& b) {
+  EXPECT_EQ(a.trials, b.trials);
+  EXPECT_EQ(a.feasible_raw, b.feasible_raw);
+  EXPECT_EQ(a.probe_integrations, b.probe_integrations);
+  ASSERT_EQ(a.designs.size(), b.designs.size());
+  for (std::size_t i = 0; i < a.designs.size(); ++i) {
+    const core::IntegrationResult& x = a.designs[i].integration;
+    const core::IntegrationResult& y = b.designs[i].integration;
+    EXPECT_EQ(a.designs[i].choice, b.designs[i].choice);
+    EXPECT_EQ(x.feasible, y.feasible);
+    EXPECT_EQ(x.reason, y.reason);
+    EXPECT_EQ(x.ii_main, y.ii_main);
+    EXPECT_EQ(x.system_delay_main, y.system_delay_main);
+    EXPECT_EQ(x.clock_ns(), y.clock_ns());
+    EXPECT_EQ(x.performance_ns.likely(), y.performance_ns.likely());
+    EXPECT_EQ(x.system_power_mw.likely(), y.system_power_mw.likely());
+    ASSERT_EQ(x.chip_area.size(), y.chip_area.size());
+    for (std::size_t c = 0; c < x.chip_area.size(); ++c) {
+      EXPECT_EQ(x.chip_area[c].likely(), y.chip_area[c].likely());
+    }
+    ASSERT_EQ(x.transfers.size(), y.transfers.size());
+    for (std::size_t t = 0; t < x.transfers.size(); ++t) {
+      EXPECT_EQ(x.transfers[t].buffer_bits, y.transfers[t].buffer_bits);
+      EXPECT_EQ(x.transfers[t].pins, y.transfers[t].pins);
+      EXPECT_EQ(x.transfers[t].wait_cycles, y.transfers[t].wait_cycles);
+    }
+  }
+}
+
+TEST(Generate, CachedRunEqualsFreshRun) {
+  // The portfolio's shared memo cache may change hit counts, never
+  // results: a run that recomputes every integration must agree exactly.
+  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
+  GenerateOptions options = wide_options();
+  options.num_starts = 2;
+  options.budget = 12;
+  const GenerateResult cached =
+      generate_partitions(ar.graph, experiment_library(), test_chips(2), {},
+                          exp1_config(), options);
+  core::CandidateEvaluator no_cache(0);  // recompute every integration
+  options.search.evaluator = &no_cache;
+  const GenerateResult fresh =
+      generate_partitions(ar.graph, experiment_library(), test_chips(2), {},
+                          exp1_config(), options);
+
+  EXPECT_EQ(cached.members, fresh.members);
+  EXPECT_EQ(cached.evaluations, fresh.evaluations);
+  EXPECT_EQ(cached.log, fresh.log);
+  ASSERT_EQ(cached.frontier.size(), fresh.frontier.size());
+  for (std::size_t i = 0; i < cached.frontier.size(); ++i) {
+    const FrontierPoint& a = cached.frontier[i];
+    const FrontierPoint& b = fresh.frontier[i];
+    EXPECT_EQ(a.members, b.members);
+    EXPECT_EQ(a.choice, b.choice);
+    EXPECT_EQ(a.ii, b.ii);
+    EXPECT_EQ(a.delay, b.delay);
+    EXPECT_EQ(a.area, b.area);
+    EXPECT_EQ(a.start, b.start);
+  }
+  expect_same_search(cached.search, fresh.search);
+  EXPECT_EQ(no_cache.stats().hits, 0u);
 }
 
 // --- Determinism contract ----------------------------------------------

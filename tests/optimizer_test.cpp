@@ -1,12 +1,8 @@
-// Tests for the automated designer-loop extensions: memory placement
-// optimization and automatic constraint-driven partitioning.
+// Tests for the automated designer-loop extension: memory placement
+// optimization.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
-
 #include "chip/mosis_packages.hpp"
-#include "core/auto_partition.hpp"
 #include "core/memory_optimizer.hpp"
 #include "dfg/benchmarks.hpp"
 #include "library/experiment_library.hpp"
@@ -107,95 +103,6 @@ TEST(MemoryOptimizer, NoBlocksIsANoOp) {
   const MemoryPlacementResult r = optimize_memory_placement(session);
   EXPECT_EQ(r.evaluated, 1u);
   EXPECT_TRUE(r.placement.empty());
-}
-
-// ---- automatic partitioning ----
-
-TEST(AutoPartition, FindsFeasibleTwoChipCut) {
-  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  const AutoPartitionResult r = auto_partition(
-      ar.graph, library(),
-      {{"c0", chip::mosis_package_84()}, {"c1", chip::mosis_package_84()}},
-      {}, exp1_config());
-  EXPECT_TRUE(r.feasible());
-  ASSERT_EQ(r.members.size(), 2u);
-  // All 28 operations covered, disjointly.
-  std::set<dfg::NodeId> seen;
-  for (const auto& part : r.members) {
-    for (dfg::NodeId id : part) EXPECT_TRUE(seen.insert(id).second);
-  }
-  EXPECT_EQ(seen.size(), 28u);
-  EXPECT_GE(r.evaluations, 1u);
-  EXPECT_FALSE(r.log.empty());
-  // Matches (or beats) the paper's manual 2-way result of II=30.
-  EXPECT_LE(r.search.designs.front().integration.ii_main, 30);
-}
-
-TEST(AutoPartition, SingleChipDegenerates) {
-  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  const AutoPartitionResult r = auto_partition(
-      ar.graph, library(), {{"c0", chip::mosis_package_84()}}, {},
-      exp1_config());
-  ASSERT_EQ(r.members.size(), 1u);
-  EXPECT_EQ(r.members[0].size(), 28u);
-  EXPECT_EQ(r.accepted_moves, 0);  // no boundary to move across
-  EXPECT_TRUE(r.feasible());
-}
-
-TEST(AutoPartition, LogNarratesDecisions) {
-  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  const AutoPartitionResult r = auto_partition(
-      ar.graph, library(),
-      {{"c0", chip::mosis_package_84()}, {"c1", chip::mosis_package_84()}},
-      {}, exp1_config());
-  ASSERT_GE(r.log.size(), 2u);
-  EXPECT_NE(r.log.front().find("seed"), std::string::npos);
-  EXPECT_NE(r.log.back().find("final"), std::string::npos);
-  EXPECT_EQ(static_cast<int>(r.log.size()) - 2, r.accepted_moves);
-}
-
-TEST(AutoPartition, IterationCapHonored) {
-  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  AutoPartitionOptions options;
-  options.max_iterations = 0;
-  const AutoPartitionResult r = auto_partition(
-      ar.graph, library(),
-      {{"c0", chip::mosis_package_84()}, {"c1", chip::mosis_package_84()}},
-      {}, exp1_config(), options);
-  EXPECT_EQ(r.accepted_moves, 0);
-  // One evaluation per seed restart, no migrations.
-  EXPECT_LE(r.evaluations, 3u);
-  EXPECT_GE(r.evaluations, 1u);
-}
-
-TEST(AutoPartition, HandlesMemoryWorkload) {
-  const dfg::BenchmarkGraph arm = dfg::ar_lattice_filter_with_memory();
-  chip::MemorySubsystem memory;
-  memory.blocks.push_back({"coeff", 16, 64, 1, 300.0, 4000.0, 3});
-  memory.blocks.push_back({"spill", 16, 256, 1, 300.0, 6000.0, 3});
-  memory.chip_of_block = {0, 1};
-  ChopConfig config = exp1_config();
-  config.constraints = {30000.0, 60000.0};
-  const AutoPartitionResult r = auto_partition(
-      arm.graph, library(),
-      {{"c0", chip::mosis_package_84()}, {"c1", chip::mosis_package_84()}},
-      memory, config);
-  // Memory ops must be covered too (33 operations total).
-  std::size_t total = 0;
-  for (const auto& part : r.members) total += part.size();
-  EXPECT_EQ(total, arm.graph.operation_count() + 3);  // + 2 reads, 1 write
-}
-
-TEST(AutoPartition, RejectsBadOptions) {
-  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
-  AutoPartitionOptions options;
-  options.max_candidates_per_iteration = 0;
-  EXPECT_THROW(auto_partition(ar.graph, library(),
-                              {{"c0", chip::mosis_package_84()}}, {},
-                              exp1_config(), options),
-               Error);
-  EXPECT_THROW(
-      auto_partition(ar.graph, library(), {}, {}, exp1_config()), Error);
 }
 
 }  // namespace

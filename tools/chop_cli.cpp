@@ -9,20 +9,21 @@
 //     --no-bound-pruning  disable the branch-and-bound subtree pruning of
 //                       the enumeration search (identical designs either
 //                       way; useful for timing comparisons and for
-//                       recording the full design space). Also settable
-//                       via CHOP_BOUND_PRUNING=0.
+//                       recording the full design space).
 //     --no-shared-frontier  disable the cross-unit incumbent broadcast of
 //                       the bounded enumeration search (identical designs
 //                       either way; only the number of visited leaves
-//                       changes). Also settable via CHOP_SHARED_FRONTIER=0.
+//                       changes).
 //     --keep-all        disable pruning (including branch-and-bound),
 //                       report the design-space size
 //     --guideline       print the full designer guideline for every design
-//     --auto            ignore the file's partitions; partition
-//                       automatically (one partition per declared chip)
-//     --optimize-memory sweep memory placements after (auto-)partitioning
+//     --generate        ignore the file's partitions; generate one
+//                       partition per declared chip with the multilevel
+//                       generator (--num-starts=N, --coarsening-ratio=R,
+//                       --gen-seed=N tune its portfolio)
+//     --optimize-memory sweep memory placements after partitioning
 //     --dot=<file>      write the partitioned graph as Graphviz
-//     --save=<file>     write the (possibly auto-)partitioned project back
+//     --save=<file>     write the (possibly generated) project back
 //                       out as a .chop file
 //     --report=<file>   write a Markdown report of the session
 //     --trace=<file>    write a Chrome trace-event JSON of the run
@@ -48,7 +49,6 @@
 #include <memory>
 #include <string>
 
-#include "core/auto_partition.hpp"
 #include "gen/generate.hpp"
 #include "core/eval/thread_pool.hpp"
 #include "core/memory_optimizer.hpp"
@@ -76,7 +76,6 @@ struct CliOptions {
   bool shared_frontier = true;
   bool keep_all = false;
   bool guideline = false;
-  bool auto_partition = false;
   bool generate = false;
   int num_starts = 4;
   double coarsening_ratio = 0.65;
@@ -98,7 +97,7 @@ int usage() {
       << "usage: chop_cli <project.chop> [--heuristic=E|I] [--threads=N]\n"
          "                [--no-bound-pruning] [--no-shared-frontier]\n"
          "                [--keep-all] [--guideline]\n"
-         "                [--auto] [--generate] [--num-starts=N]\n"
+         "                [--generate] [--num-starts=N]\n"
          "                [--coarsening-ratio=R] [--gen-seed=N]\n"
          "                [--optimize-memory] [--dot=<file>]\n"
          "                [--save=<file>] [--report=<file>] [--trace=<file>]\n"
@@ -110,11 +109,10 @@ int usage() {
          "  identical results.\n"
          "  --no-bound-pruning disables the enumeration search's\n"
          "  branch-and-bound subtree pruning (the design set is identical\n"
-         "  either way; only the number of visited leaves changes). The\n"
-         "  CHOP_BOUND_PRUNING=0 environment variable does the same.\n"
+         "  either way; only the number of visited leaves changes).\n"
          "  --no-shared-frontier disables the cross-unit incumbent\n"
          "  broadcast of the bounded enumeration (identical design set;\n"
-         "  more visited leaves). CHOP_SHARED_FRONTIER=0 does the same.\n"
+         "  more visited leaves).\n"
          "  --generate replaces the file's partitions with the multilevel\n"
          "  generation engine's best cut (coarsen, partition, refine; a\n"
          "  portfolio of --num-starts starts raced on --threads workers;\n"
@@ -151,8 +149,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.shared_frontier = false;
     } else if (arg == "--guideline") {
       options.guideline = true;
-    } else if (arg == "--auto") {
-      options.auto_partition = true;
     } else if (arg == "--generate") {
       options.generate = true;
     } else if (arg.rfind("--num-starts=", 0) == 0) {
@@ -230,8 +226,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       return false;
     }
   }
-  // --auto and --generate both replace the file's partitions; one at a time.
-  if (options.generate && options.auto_partition) return false;
   if (options.certify) {
     // Certification compares the searched frontier point for point with
     // the proven optimum, so it needs the enumeration heuristic over the
@@ -384,7 +378,7 @@ int main(int argc, char** argv) {
 
   try {
     // --threads=0: one worker per hardware thread, resolved once here so
-    // every search (including --auto) sees a concrete count.
+    // every search (including --generate's) sees a concrete count.
     options.threads = core::ThreadPool::resolve_threads(options.threads);
 
     core::SearchOptions search;
@@ -399,26 +393,6 @@ int main(int argc, char** argv) {
     search.max_trials = options.keep_all ? 500000 : 0;
     obs::ProgressPrinter progress_printer(std::cerr, 1000);
     if (options.progress) search.observer = &progress_printer;
-
-    // --auto replaces the file's partitions with automatic ones.
-    if (options.auto_partition) {
-      std::cout << "automatic partitioning over "
-                << project.chips.size() << " chip(s)...\n";
-      core::AutoPartitionOptions auto_options;
-      auto_options.search.heuristic = options.heuristic;
-      auto_options.search.threads = options.threads;
-      auto_options.search.bound_pruning = options.bound_pruning;
-      auto_options.search.shared_frontier = options.shared_frontier;
-      const core::AutoPartitionResult r = core::auto_partition(
-          project.graph, project.library, project.chips, project.memory,
-          project.config, auto_options);
-      for (const std::string& line : r.log) std::cout << "  " << line << "\n";
-      project.partitions.clear();
-      for (std::size_t p = 0; p < r.members.size(); ++p) {
-        project.partitions.push_back(core::Partition{
-            "P" + std::to_string(p + 1), r.members[p], static_cast<int>(p)});
-      }
-    }
 
     // --generate replaces the file's partitions with the multilevel
     // engine's best cut, then the normal predict+search run below reports
@@ -501,7 +475,7 @@ int main(int argc, char** argv) {
     }
 
     if (!options.save_path.empty()) {
-      // Persist the (auto-)partitioned project, including any memory
+      // Persist the (possibly generated) project, including any memory
       // placement the optimizer installed in the session.
       io::Project saved = project;
       saved.memory = session.partitioning().memory();

@@ -31,13 +31,12 @@
 //                    bound slack inadmissible and REQUIRES the battery to
 //                    catch it (exit 0 iff the bug is caught and shrunk)
 //   --no-bound-pruning  sanity escape hatch: forces the exhaustive path
-//                    in every enumeration the battery runs (via the
-//                    CHOP_BOUND_PRUNING environment override)
+//                    in every bounded-search arm of the battery
+//                    (OracleLimits::bound_pruning)
 //   --quick          skip the metamorphic (raw-list) oracle group
 //
 // Exit codes: 0 all green (or injected bug caught), 1 oracle failures,
 // 2 usage/input error.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -235,11 +234,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.no_bound_pruning) {
-    // Same runtime switch the CLI and tests use; affects every search the
-    // battery runs in this process.
-    setenv("CHOP_BOUND_PRUNING", "0", 1);
-  }
   if (args.inject_bound_bug) {
     // An inadmissible slack (> 1) inflates the branch-and-bound lower
     // bounds, so subtrees containing feasible leaves get cut. The battery
@@ -251,6 +245,7 @@ int main(int argc, char** argv) {
   limits.max_eligible_product = args.max_product;
   limits.max_raw_product = args.max_product * 3;
   limits.metamorphic = !args.quick;
+  limits.bound_pruning = !args.no_bound_pruning;
 
   if (!args.replay_path.empty()) {
     try {
