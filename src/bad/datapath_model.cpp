@@ -7,7 +7,23 @@
 
 namespace chop::bad {
 
+DatapathProfile datapath_profile(const dfg::Graph& g) {
+  DatapathProfile profile;
+  for (std::size_t i = 0; i < g.node_count(); ++i) {
+    const dfg::Node& n = g.node(static_cast<dfg::NodeId>(i));
+    if (dfg::needs_functional_unit(n.kind)) {
+      auto& [count, width] = profile.ops_by_kind[n.kind];
+      ++count;
+      width = std::max(width, n.width);
+    } else if (n.kind == dfg::OpKind::Select) {
+      profile.select_bits += static_cast<double>(n.width);
+    }
+  }
+  return profile;
+}
+
 DatapathEstimate estimate_datapath(const dfg::Graph& g,
+                                   const DatapathProfile& profile,
                                    std::span<const Cycles> latency,
                                    const sched::OpSchedule& schedule,
                                    const std::map<dfg::OpKind, int>& fu_alloc,
@@ -16,20 +32,9 @@ DatapathEstimate estimate_datapath(const dfg::Graph& g,
   out.register_bits = sched::register_demand(g, latency, schedule);
 
   // Mux sources: FU operand sharing, register write sharing, selects.
-  double mux_likely = 0.0;
+  double mux_likely = profile.select_bits;
   int worst_sharing = 1;
-  std::map<dfg::OpKind, std::pair<std::int64_t, Bits>> ops_by_kind;
-  for (std::size_t i = 0; i < g.node_count(); ++i) {
-    const dfg::Node& n = g.node(static_cast<dfg::NodeId>(i));
-    if (dfg::needs_functional_unit(n.kind)) {
-      auto& [count, width] = ops_by_kind[n.kind];
-      ++count;
-      width = std::max(width, n.width);
-    } else if (n.kind == dfg::OpKind::Select) {
-      mux_likely += static_cast<double>(n.width);
-    }
-  }
-  for (const auto& [kind, stat] : ops_by_kind) {
+  for (const auto& [kind, stat] : profile.ops_by_kind) {
     const auto& [count, width] = stat;
     auto it = fu_alloc.find(kind);
     const int units = it == fu_alloc.end() ? static_cast<int>(count)

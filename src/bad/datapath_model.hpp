@@ -5,8 +5,10 @@
 // (register, multiplexer, wiring ...)").
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dfg/graph.hpp"
@@ -26,8 +28,21 @@ struct DatapathEstimate {
   Ns steering_delay = 0.0;  ///< Register + mux-tree delay per cycle.
 };
 
-/// Estimates the datapath for graph `g` scheduled as `schedule` with
-/// functional-unit allocation `fu_alloc` (units per op kind).
+/// The part of the datapath estimate that depends only on the graph, not
+/// on the schedule or the allocation: per functional-unit kind its
+/// operation count and widest operation, and the summed width of Select
+/// operations. A predictor computes it once per request.
+struct DatapathProfile {
+  std::map<dfg::OpKind, std::pair<std::int64_t, Bits>> ops_by_kind;
+  double select_bits = 0.0;
+};
+
+/// The profile of `g`.
+DatapathProfile datapath_profile(const dfg::Graph& g);
+
+/// Estimates the datapath for graph `g`, whose datapath_profile() is
+/// `profile`, scheduled as `schedule` with functional-unit allocation
+/// `fu_alloc` (units per op kind).
 ///
 /// Multiplexers come from three sources: operand steering of shared
 /// functional units ((ops - units) * operands * width per kind), register
@@ -36,6 +51,7 @@ struct DatapathEstimate {
 /// (0.85x, 1x, 1.1x) uncertainty — exact steering depends on binding, which
 /// prediction intentionally skips.
 DatapathEstimate estimate_datapath(const dfg::Graph& g,
+                                   const DatapathProfile& profile,
                                    std::span<const Cycles> latency,
                                    const sched::OpSchedule& schedule,
                                    const std::map<dfg::OpKind, int>& fu_alloc,

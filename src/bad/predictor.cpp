@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "bad/controller_model.hpp"
 #include "bad/datapath_model.hpp"
@@ -28,44 +29,54 @@ std::map<int, int> memory_profile(const dfg::Graph& g) {
   return accesses;
 }
 
-/// Per-module-set inputs of make_prediction that do not depend on the
-/// allocation or the schedule.
-struct ModuleSetContext {
-  const lib::ModuleSet* set = nullptr;
-  std::span<const Cycles> latency;
-  /// busy_cycles_by_kind(g, latency).
-  std::map<dfg::OpKind, Cycles> busy_cycles;
-  /// memory_profile(g), computed once per request.
-  const std::map<int, int>* memory_accesses = nullptr;
+/// One scheduled point of a latency class: what make_prediction reads of
+/// its schedule, without the schedule itself.
+struct ScheduledPoint {
+  std::size_t alloc = 0;  ///< Index into the request's allocation sweep.
+  DesignStyle style = DesignStyle::Nonpipelined;
+  Cycles length = 0;
+  Cycles initiation_interval = 0;
+  /// Before the scan-design adjustment, which make_prediction applies.
+  DatapathEstimate datapath;
 };
 
-/// Builds the full DesignPrediction for one scheduled point.
-DesignPrediction make_prediction(const PredictionRequest& req,
-                                 const ModuleSetContext& ctx,
-                                 const std::map<dfg::OpKind, int>& alloc,
-                                 const sched::OpSchedule& schedule,
-                                 DesignStyle style) {
-  const dfg::Graph& g = *req.graph;
-  const lib::ComponentLibrary& library = *req.library;
-  const lib::TechnologyParams& tech = library.technology();
-  const lib::ModuleSet& set = *ctx.set;
+/// The scheduling sweep of one latency vector. Schedules, initiation
+/// intervals and datapath estimates depend on a module set only through
+/// its operation latencies, so every module set with the same vector
+/// shares one sweep (under single-cycle clocking that is every eligible
+/// set).
+struct LatencyClass {
+  std::vector<Cycles> latency;
+  /// busy_cycles_by_kind(g, latency).
+  std::map<dfg::OpKind, Cycles> busy_cycles;
+  /// Every feasible point, in prediction order: per allocation the
+  /// nonpipelined schedule, then each feasible II.
+  std::vector<ScheduledPoint> points;
+};
+
+/// Builds the full DesignPrediction of module set `set` at one point of
+/// its latency class, whose busy cycles per kind are `busy_cycles`.
+DesignPrediction make_prediction(
+    const PredictionRequest& req, const lib::ModuleSet& set,
+    const std::map<dfg::OpKind, Cycles>& busy_cycles,
+    const std::map<dfg::OpKind, int>& alloc,
+    const ScheduledPoint& point, const std::map<int, int>& memory_accesses) {
+  const lib::TechnologyParams& tech = req.library->technology();
 
   DesignPrediction p;
-  p.style = style;
+  p.style = point.style;
   p.module_set_label = set.label();
   for (const auto& [kind, module] : set.choices()) {
     p.module_names[kind] = module->name;
   }
   p.fu_alloc = alloc;
-  p.stages = std::max<Cycles>(1, schedule.length);
-  p.ii_dp = style == DesignStyle::Pipelined
-                ? schedule.initiation_interval
-                : p.stages;
+  p.stages = std::max<Cycles>(1, point.length);
+  p.ii_dp = point.style == DesignStyle::Pipelined ? point.initiation_interval
+                                                  : p.stages;
   p.ii_main = p.ii_dp * req.clocks.datapath_multiplier;
   p.latency_main = p.stages * req.clocks.datapath_multiplier;
 
-  DatapathEstimate dp =
-      estimate_datapath(g, ctx.latency, schedule, alloc, library);
+  DatapathEstimate dp = point.datapath;
   // Scan-design overheads (§5): heavier registers, a scan mux on the
   // register setup path, a fatter controller.
   const TestabilityOptions& test = req.testability;
@@ -117,11 +128,39 @@ DesignPrediction make_prediction(const PredictionRequest& req,
   const AreaMil2 support_area = p.register_area.likely() +
                                 p.mux_area.likely() +
                                 p.controller_area.likely();
-  p.power_mw = estimate_datapath_power(set, alloc, ctx.busy_cycles, p.ii_dp,
+  p.power_mw = estimate_datapath_power(set, alloc, busy_cycles, p.ii_dp,
                                        support_area, tech);
 
-  p.memory_accesses = *ctx.memory_accesses;
+  p.memory_accesses = memory_accesses;
   return p;
+}
+
+/// Allocation sweep: cartesian product of per-kind unit counts, each
+/// count from `unit_sweep` up to the kind's operation count in `g` (or
+/// that count alone when every sweep value exceeds it).
+std::vector<std::map<dfg::OpKind, int>> allocation_sweep(
+    const dfg::Graph& g, std::span<const dfg::OpKind> kinds,
+    const std::vector<int>& unit_sweep) {
+  std::vector<std::map<dfg::OpKind, int>> allocs{{}};
+  for (dfg::OpKind kind : kinds) {
+    const int ops = static_cast<int>(g.count_of_kind(kind));
+    std::vector<int> counts;
+    for (int v : unit_sweep) {
+      if (v <= ops) counts.push_back(v);
+    }
+    if (counts.empty()) counts.push_back(ops);
+    std::vector<std::map<dfg::OpKind, int>> next;
+    next.reserve(allocs.size() * counts.size());
+    for (const auto& base : allocs) {
+      for (int c : counts) {
+        auto extended = base;
+        extended[kind] = c;
+        next.push_back(std::move(extended));
+      }
+    }
+    allocs = std::move(next);
+  }
+  return allocs;
 }
 
 }  // namespace
@@ -148,12 +187,6 @@ std::vector<DesignPrediction> Predictor::predict(
   CHOP_REQUIRE(req.library->covers(kinds),
                "component library does not cover the graph");
 
-  // Ops per kind bound the useful allocation sweep.
-  std::map<dfg::OpKind, int> ops_of_kind;
-  for (dfg::OpKind k : kinds) {
-    ops_of_kind[k] = static_cast<int>(g.count_of_kind(k));
-  }
-
   // Steering-delay guess for module-set eligibility under the single-cycle
   // style: a register plus two mux levels — refined per design point later,
   // but eligibility needs a number before the datapath is sized.
@@ -167,51 +200,32 @@ std::vector<DesignPrediction> Predictor::predict(
       obs::MetricsRegistry::global().counter("bad.schedules");
 
   const std::map<int, int> memory_accesses = memory_profile(g);
-  std::vector<DesignPrediction> out;
+  const DatapathProfile profile = datapath_profile(g);
+  const std::vector<std::map<dfg::OpKind, int>> allocs =
+      allocation_sweep(g, kinds, options_.unit_sweep);
 
-  for (const lib::ModuleSet& set :
-       lib::enumerate_module_sets(*req.library, kinds)) {
-    const auto latency_opt =
-        operation_latencies(g, set, req.style.clocking, req.clocks,
-                            eligibility_overhead, req.memory_access_time);
-    if (!latency_opt) continue;  // single-cycle: module set does not fit
-    module_sets.add();
-    const std::vector<Cycles>& latency = *latency_opt;
-    const ModuleSetContext ctx{&set, latency, busy_cycles_by_kind(g, latency),
-                               &memory_accesses};
-    const sched::SchedulePlan plan(g, latency);
-
-    // Allocation sweep: cartesian product of per-kind unit counts.
-    std::vector<std::map<dfg::OpKind, int>> allocs{{}};
-    for (dfg::OpKind kind : kinds) {
-      std::vector<int> counts;
-      for (int v : options_.unit_sweep) {
-        if (v <= ops_of_kind[kind]) counts.push_back(v);
-      }
-      if (counts.empty()) counts.push_back(ops_of_kind[kind]);
-      std::vector<std::map<dfg::OpKind, int>> next;
-      next.reserve(allocs.size() * counts.size());
-      for (const auto& base : allocs) {
-        for (int c : counts) {
-          auto extended = base;
-          extended[kind] = c;
-          next.push_back(std::move(extended));
-        }
-      }
-      allocs = std::move(next);
-    }
-
-    for (const auto& alloc : allocs) {
+  // Runs the scheduling sweep of `cls.latency`: per allocation the
+  // nonpipelined list schedule, then every II from the resource bound up
+  // to the cap.
+  const auto sweep = [&](LatencyClass& cls) {
+    const sched::SchedulePlan plan(g, cls.latency);
+    for (std::size_t a = 0; a < allocs.size(); ++a) {
       sched::ResourceLimits limits;
-      limits.fu = alloc;
+      limits.fu = allocs[a];
       limits.memory_ports = req.memory_ports;
+      const auto record = [&](const sched::OpSchedule& schedule,
+                              DesignStyle style) {
+        cls.points.push_back(
+            {a, style, schedule.length, schedule.initiation_interval,
+             estimate_datapath(g, profile, cls.latency, schedule, allocs[a],
+                               *req.library)});
+      };
 
       const sched::OpSchedule nonpipe = sched::list_schedule(plan, limits);
       schedules.add();
       CHOP_ASSERT(nonpipe.feasible, "nonpipelined list schedule cannot fail");
-      out.push_back(make_prediction(req, ctx, alloc, nonpipe,
-                                    DesignStyle::Nonpipelined));
-      const Cycles stages = out.back().stages;
+      record(nonpipe, DesignStyle::Nonpipelined);
+      const Cycles stages = std::max<Cycles>(1, nonpipe.length);
 
       if (!req.style.allow_pipelining || stages <= 1) continue;
       const Cycles min_ii =
@@ -222,10 +236,34 @@ std::vector<DesignPrediction> Predictor::predict(
         const sched::OpSchedule pipe =
             sched::pipeline_schedule(plan, limits, ii);
         schedules.add();
-        if (!pipe.feasible) continue;
-        out.push_back(
-            make_prediction(req, ctx, alloc, pipe, DesignStyle::Pipelined));
+        if (pipe.feasible) record(pipe, DesignStyle::Pipelined);
       }
+    }
+  };
+
+  std::vector<LatencyClass> classes;
+  std::vector<DesignPrediction> out;
+  for (const lib::ModuleSet& set :
+       lib::enumerate_module_sets(*req.library, kinds)) {
+    auto latency =
+        operation_latencies(g, set, req.style.clocking, req.clocks,
+                            eligibility_overhead, req.memory_access_time);
+    if (!latency) continue;  // single-cycle: module set does not fit
+    module_sets.add();
+    auto cls = std::find_if(
+        classes.begin(), classes.end(),
+        [&](const LatencyClass& c) { return c.latency == *latency; });
+    if (cls == classes.end()) {
+      LatencyClass fresh;
+      fresh.latency = std::move(*latency);
+      fresh.busy_cycles = busy_cycles_by_kind(g, fresh.latency);
+      sweep(fresh);
+      cls = classes.insert(classes.end(), std::move(fresh));
+    }
+    for (const ScheduledPoint& point : cls->points) {
+      out.push_back(make_prediction(req, set, cls->busy_cycles,
+                                    allocs[point.alloc], point,
+                                    memory_accesses));
     }
   }
   static obs::Counter& raw =

@@ -4,10 +4,12 @@
 // For one partition (a standalone behavioral graph) BAD sweeps the local
 // design space: pipelined and nonpipelined styles, every module-set
 // combination, and serial-parallel allocation tradeoffs; for each point it
-// runs a resource-constrained (or modulo) schedule and predicts registers,
-// multiplexers, PLA controller, wiring, clock-cycle overhead and memory
-// access profile. The output is the list of predicted designs CHOP's
-// global search selects from.
+// runs a resource-constrained (or modulo) schedule and predicts
+// registers, multiplexers, PLA controller, wiring, clock-cycle overhead
+// and memory access profile. Schedules depend on a module set only
+// through its latencies, so module sets with equal latency vectors share
+// one scheduling sweep. The output is the list of predicted designs
+// CHOP's global search selects from.
 #pragma once
 
 #include <map>

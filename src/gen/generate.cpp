@@ -11,6 +11,7 @@
 
 #include "baseline/partition_builders.hpp"
 #include "core/eval/candidate_evaluator.hpp"
+#include "core/eval/prediction_cache.hpp"
 #include "core/eval/thread_pool.hpp"
 #include "gen/coarsen.hpp"
 #include "obs/metrics.hpp"
@@ -73,6 +74,9 @@ struct GenContext {
   std::size_t budget = 0;
   /// Mean base topological rank per coarsest vertex (level-order seeds).
   std::vector<double> coarsest_rank;
+  /// The call's shared prediction lists; null when the search keeps all
+  /// raw predictions (a cached session holds eligible lists only).
+  core::PredictionCache* predictions = nullptr;
 };
 
 std::optional<core::ChopSession> make_session(
@@ -85,7 +89,9 @@ std::optional<core::ChopSession> make_session(
                        static_cast<int>(p));
     }
     pt.validate();
-    return core::ChopSession(ctx.library, std::move(pt), ctx.config);
+    core::ChopSession session(ctx.library, std::move(pt), ctx.config);
+    if (ctx.predictions != nullptr) session.share_predictions(ctx.predictions);
+    return session;
   } catch (const Error&) {
     return std::nullopt;
   }
@@ -530,6 +536,45 @@ StartOutcome run_start(const GenContext& ctx, int start_index,
   return out;
 }
 
+/// The whole run when there is one chip. Its only cut holds every
+/// operation, so every start would score that same cut: score it once,
+/// as the level-order baseline the portfolio's start 0 would have kept.
+GenerateResult score_single_cut(const GenContext& ctx,
+                                const std::vector<dfg::NodeId>& ops,
+                                GenerateResult result) {
+  static obs::Counter& evaluations_counter =
+      obs::MetricsRegistry::global().counter("gen.evaluations");
+  static obs::Counter& gated_counter =
+      obs::MetricsRegistry::global().counter("gen.gated");
+  static obs::Counter& frontier_counter =
+      obs::MetricsRegistry::global().counter("gen.frontier_points");
+
+  result.coarsest_vertices = ops.size();
+  result.log.push_back("single chip: the only cut holds all " +
+                       std::to_string(ops.size()) +
+                       " operations, scored once without a portfolio");
+  obs::ScopedPhase phase(ctx.options.profile, obs::SearchPhase::kGenInitial);
+  StartOutcome out;
+  Evaluation ev = evaluate_cut(
+      ctx, out, 0, baseline::level_order_partition(ctx.spec, ops, 1),
+      /*repair=*/false);
+  phase.stop();
+  result.evaluations = out.evaluations;
+  evaluations_counter.add(out.evaluations);
+  result.gated = out.gated;
+  gated_counter.add(out.gated);
+  CHOP_REQUIRE(ev.usable, "no valid cut could be generated");
+  result.cancelled = stop_requested(ctx);
+  result.frontier = std::move(out.points);
+  sort_frontier(result.frontier);
+  frontier_counter.add(result.frontier.size());
+  result.members = std::move(ev.members);
+  result.search = std::move(ev.search);
+  result.log.push_back("final: " + ev.score.describe() + ", frontier " +
+                       std::to_string(result.frontier.size()) + " points");
+  return result;
+}
+
 }  // namespace
 
 GenerateResult generate_partitions(const dfg::Graph& spec,
@@ -567,12 +612,49 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
 
   GenerateResult result;
 
+  // One memo cache raced by every start: candidate cuts overlap heavily
+  // across starts and levels, and content-hashed keys make the sharing
+  // safe (cache state can change hit counts, never results).
+  core::CandidateEvaluator shared_evaluator;
+  Hierarchy hierarchy;
+  GenContext ctx{spec,    library, chips,  memory, config,
+                 hierarchy, options, options.search, k,
+                 options.budget == 0 ? std::size_t{48} : options.budget,
+                 {}};
+  if (ctx.search.evaluator == nullptr) {
+    ctx.search.evaluator = &shared_evaluator;
+  }
+  if (ctx.search.cancel == nullptr) ctx.search.cancel = options.cancel;
+  if (ctx.search.deadline == std::chrono::steady_clock::time_point{}) {
+    ctx.search.deadline = options.deadline;
+  }
+  if (ctx.search.profile == nullptr) ctx.search.profile = options.profile;
+
+  // One prediction cache for the call, shared like the evaluator: a
+  // one-vertex move leaves all but two partitions as they were, starts
+  // revisit each other's cuts, and the final pass repeats the winning
+  // cut. It holds every partition the call can score (start 0 may score
+  // its baseline and its seed on a budget of one), so it never evicts,
+  // and it is freed when the call returns.
+  std::optional<core::PredictionCache> predictions;
+  if (ctx.search.prune) {
+    const std::size_t per_start = std::max<std::size_t>(ctx.budget, 2);
+    predictions.emplace(
+        (static_cast<std::size_t>(options.num_starts) * per_start + 1) *
+        static_cast<std::size_t>(k));
+    ctx.predictions = &*predictions;
+  }
+
+  // One chip has exactly one cut, every operation on it: score it once.
+  if (k == 1) {
+    return score_single_cut(ctx, ops, std::move(result));
+  }
+
   // One coarsening hierarchy shared read-only by every start.
   CoarsenOptions copts;
   copts.ratio = options.coarsening_ratio;
   copts.min_vertices = std::max(2 * k, k + 1);
   copts.seed = options.seed;
-  Hierarchy hierarchy;
   {
     obs::ScopedPhase coarsen_phase(options.profile,
                                    obs::SearchPhase::kGenCoarsen);
@@ -587,23 +669,6 @@ GenerateResult generate_partitions(const dfg::Graph& spec,
        << " levels";
     result.log.push_back(os.str());
   }
-
-  // One memo cache raced by every start: candidate cuts overlap heavily
-  // across starts and levels, and content-hashed keys make the sharing
-  // safe (cache state can change hit counts, never results).
-  core::CandidateEvaluator shared_evaluator;
-  GenContext ctx{spec,    library, chips,  memory, config,
-                 hierarchy, options, options.search, k,
-                 options.budget == 0 ? std::size_t{48} : options.budget,
-                 {}};
-  if (ctx.search.evaluator == nullptr) {
-    ctx.search.evaluator = &shared_evaluator;
-  }
-  if (ctx.search.cancel == nullptr) ctx.search.cancel = options.cancel;
-  if (ctx.search.deadline == std::chrono::steady_clock::time_point{}) {
-    ctx.search.deadline = options.deadline;
-  }
-  if (ctx.search.profile == nullptr) ctx.search.profile = options.profile;
 
   // Mean base topological rank per coarsest vertex, for level-order seeds.
   {

@@ -15,7 +15,9 @@
 //     search() runs only on survivors.
 //  3. Starts run on the shared work-stealing ThreadPool and share one
 //     memoizing CandidateEvaluator, so identical candidate integrations
-//     across starts are cache hits. Start results commit in deterministic
+//     across starts are cache hits, and (for pruned searches) one
+//     PredictionCache, so a partition a candidate shares with an earlier
+//     cut skips BAD. Start results commit in deterministic
 //     waves (like the enumeration's SharedFrontier): a start only ever
 //     sees the cross-start incumbent committed before its wave began, so
 //     early-killing dominated starts cannot depend on thread scheduling.

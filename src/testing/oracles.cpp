@@ -294,7 +294,96 @@ void check_partition_schedules(const ChopSession& session,
   }
 }
 
+/// First field where `a` and `b` differ, compared exactly.
+std::optional<std::string> diff_prediction(const bad::DesignPrediction& a,
+                                           const bad::DesignPrediction& b) {
+  if (a.style != b.style) return std::string("style");
+  if (a.module_set_label != b.module_set_label) return std::string("label");
+  if (a.module_names != b.module_names) return std::string("module names");
+  if (a.fu_alloc != b.fu_alloc) return std::string("allocation");
+  if (a.stages != b.stages || a.ii_dp != b.ii_dp || a.ii_main != b.ii_main ||
+      a.latency_main != b.latency_main) {
+    return std::string("schedule");
+  }
+  if (a.register_bits != b.register_bits) return std::string("register bits");
+  if (a.mux_count_likely != b.mux_count_likely) return std::string("mux count");
+  if (!(a.fu_area == b.fu_area) || !(a.register_area == b.register_area) ||
+      !(a.mux_area == b.mux_area) ||
+      !(a.controller_area == b.controller_area) ||
+      !(a.wiring_area == b.wiring_area) || !(a.total_area == b.total_area)) {
+    return std::string("area");
+  }
+  if (a.clock_overhead_ns != b.clock_overhead_ns) {
+    return std::string("clock overhead");
+  }
+  if (!(a.power_mw == b.power_mw)) return std::string("power");
+  if (a.memory_accesses != b.memory_accesses) {
+    return std::string("memory accesses");
+  }
+  return std::nullopt;
+}
+
+/// The session's prediction request for partition `p` (the same graph,
+/// clocks, II cap, testability and memory as predict_partitions()).
+bad::PredictionRequest partition_request(const ChopSession& session,
+                                         const lib::ComponentLibrary& library,
+                                         const dfg::Graph& g) {
+  const core::ChopConfig& config = session.config();
+  bad::PredictionRequest req;
+  req.graph = &g;
+  req.library = &library;
+  req.style = config.style;
+  req.clocks = config.clocks;
+  const auto max_ii_main = static_cast<Cycles>(
+      config.constraints.performance_ns / config.clocks.main_clock);
+  req.max_ii_dp =
+      std::max<Cycles>(1, max_ii_main / config.clocks.datapath_multiplier);
+  req.testability = config.testability;
+  const auto& blocks = session.partitioning().memory().blocks;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    req.memory_ports[static_cast<int>(b)] = blocks[b].ports;
+    req.memory_access_time.push_back(blocks[b].access_time);
+  }
+  return req;
+}
+
 }  // namespace
+
+std::optional<std::string> check_prediction_memo(
+    const bad::PredictionRequest& request,
+    const bad::PredictorOptions& options) {
+  const bad::Predictor predictor(options);
+  const std::vector<bad::DesignPrediction> full = predictor.predict(request);
+
+  const lib::ComponentLibrary& library = *request.library;
+  std::vector<bad::DesignPrediction> per_set;
+  for (const lib::ModuleSet& set : lib::enumerate_module_sets(
+           library, lib::functional_kinds(*request.graph))) {
+    lib::ComponentLibrary one;
+    for (const auto& [kind, module] : set.choices()) one.add(*module);
+    one.set_register_bit(library.register_bit());
+    one.set_mux_bit(library.mux_bit());
+    one.set_technology(library.technology());
+    bad::PredictionRequest alone = request;
+    alone.library = &one;
+    for (bad::DesignPrediction& p : predictor.predict(alone)) {
+      per_set.push_back(std::move(p));
+    }
+  }
+
+  if (full.size() != per_set.size()) {
+    return "memoized predictor made " + std::to_string(full.size()) +
+           " predictions, one per module set made " +
+           std::to_string(per_set.size());
+  }
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    if (auto d = diff_prediction(full[i], per_set[i])) {
+      return "prediction " + std::to_string(i) + " (" +
+             per_set[i].module_set_label + ") differs in " + *d;
+    }
+  }
+  return std::nullopt;
+}
 
 ScenarioReport run_oracles(const io::Project& project,
                            const OracleLimits& limits) {
@@ -666,6 +755,20 @@ ScenarioReport run_oracles(const io::Project& project,
         static_cast<int>(session.partitioning().partitions().size());
     for (int p = 0; p < nparts; ++p) {
       check_partition_schedules(session, project.library, p, report.failures);
+    }
+
+    // --- Oracle: prediction memo ----------------------------------------
+    // BAD sweeps schedules once per latency class and shares the sweep
+    // across the module sets in it; predicting each module set alone must
+    // give the same lists.
+    for (int p = 0; p < nparts; ++p) {
+      const dfg::Subgraph sub = session.partitioning().subgraph(p);
+      if (auto d = check_prediction_memo(
+              partition_request(session, project.library, sub.graph),
+              session.config().predictor)) {
+        report.failures.push_back(
+            {"prediction_memo", "partition " + std::to_string(p) + ": " + *d});
+      }
     }
 
     // --- Metamorphic group: constraint monotonicity --------------------

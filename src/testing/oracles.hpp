@@ -20,6 +20,8 @@
 //                     extra pins never adds feasible designs
 //  schedule_valid     every list and modulo schedule of every partition
 //                     passes the independent schedule checker
+//  prediction_memo    BAD's one-sweep-per-latency-class predictor equals
+//                     a prediction per module set, concatenated
 //  statval            triangular-CDF probabilities stay in [0, 1], are
 //                     monotone in the query point, and satisfies() is
 //                     monotone in the constraint bound
@@ -29,9 +31,11 @@
 // trial-index sets are directly comparable across constraint variants.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "bad/predictor.hpp"
 #include "io/spec_format.hpp"
 
 namespace chop::testing {
@@ -67,6 +71,16 @@ struct ScenarioReport {
 
   bool ok() const { return failures.empty(); }
 };
+
+/// The prediction_memo oracle on one request. For every module set the
+/// request's library enumerates, a library holding only that set's
+/// modules (so it enumerates exactly that one set) predicts the request;
+/// the lists, concatenated in enumeration order, must equal the full
+/// predictor's list field by field. Returns the first difference, or
+/// nullopt when they agree.
+std::optional<std::string> check_prediction_memo(
+    const bad::PredictionRequest& request,
+    const bad::PredictorOptions& options = {});
 
 /// Runs the full battery over one project. Exceptions from the partitioner
 /// itself are caught and reported as `harness` failures, so a crash in any

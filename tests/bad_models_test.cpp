@@ -104,7 +104,8 @@ TEST(DatapathModel, MuxCountMatchesSharingFormula) {
   limits.fu = alloc;
   const sched::OpSchedule s = sched::list_schedule(p1.graph, lat, limits);
   const DatapathEstimate dp =
-      estimate_datapath(p1.graph, lat, s, alloc, lib);
+      estimate_datapath(p1.graph, datapath_profile(p1.graph), lat, s, alloc,
+                        lib);
   const double expected_sharing = (8 - 4) * 2 * 16 + (6 - 3) * 2 * 16;
   EXPECT_NEAR(dp.mux_count.likely(),
               expected_sharing + static_cast<double>(dp.register_bits), 1.0);
@@ -125,7 +126,8 @@ TEST(DatapathModel, NoSharingNoSharingMuxes) {
   sched::ResourceLimits limits;
   limits.fu = alloc;
   const sched::OpSchedule s = sched::list_schedule(g, lat, limits);
-  const DatapathEstimate dp = estimate_datapath(g, lat, s, alloc, lib);
+  const DatapathEstimate dp =
+      estimate_datapath(g, datapath_profile(g), lat, s, alloc, lib);
   EXPECT_DOUBLE_EQ(dp.mux_count.likely(),
                    static_cast<double>(dp.register_bits));
 }
@@ -139,7 +141,9 @@ TEST(DatapathModel, MoreSharingMoreSteeringLevels) {
     sched::ResourceLimits limits;
     limits.fu = alloc;
     const sched::OpSchedule s = sched::list_schedule(ar.graph, lat, limits);
-    return estimate_datapath(ar.graph, lat, s, alloc, lib).mux_levels;
+    return estimate_datapath(ar.graph, datapath_profile(ar.graph), lat, s,
+                             alloc, lib)
+        .mux_levels;
   };
   EXPECT_GE(levels_for(1), levels_for(8));
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -468,6 +469,100 @@ TEST(Generate, CachedRunEqualsFreshRun) {
   }
   expect_same_search(cached.search, fresh.search);
   EXPECT_EQ(no_cache.stats().hits, 0u);
+}
+
+// --- Shared prediction lists ------------------------------------------
+// One generate call shares a PredictionCache across its starts, candidate
+// cuts and final pass. Content keys make a hit exactly the list a fresh
+// prediction would give, so every frontier point must reproduce bit for
+// bit on a cold session that shares nothing.
+
+TEST(Generate, SharesPredictionsAcrossCandidateCuts) {
+  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
+  obs::Counter& hits =
+      obs::MetricsRegistry::global().counter("bad.prediction_cache.hits");
+  const std::uint64_t hits_before = hits.value();
+  const GenerateOptions options = wide_options();
+  const GenerateResult r =
+      generate_partitions(ar.graph, experiment_library(), test_chips(3), {},
+                          exp1_config(), options);
+  ASSERT_TRUE(r.feasible());
+  // One-vertex moves keep k-1 partitions and the final pass repeats the
+  // winning cut, so the call must hit its own cache.
+  EXPECT_GT(hits.value() - hits_before, 0u);
+
+  for (const FrontierPoint& p : r.frontier) {
+    core::Partitioning pt(ar.graph, test_chips(3));
+    for (std::size_t i = 0; i < p.members.size(); ++i) {
+      pt.add_partition("P" + std::to_string(i + 1), p.members[i],
+                       static_cast<int>(i));
+    }
+    core::ChopSession cold(experiment_library(), std::move(pt),
+                           exp1_config());
+    cold.predict_partitions();
+    core::CandidateEvaluator no_cache(0);
+    core::SearchOptions search = options.search;
+    search.evaluator = &no_cache;
+    const core::SearchResult fresh = cold.search(search);
+    const auto match = std::find_if(
+        fresh.designs.begin(), fresh.designs.end(),
+        [&](const core::GlobalDesign& d) { return d.choice == p.choice; });
+    ASSERT_NE(match, fresh.designs.end()) << "frontier point of start "
+                                          << p.start << " not reproduced";
+    EXPECT_EQ(match->integration.ii_main, p.ii);
+    EXPECT_EQ(match->integration.system_delay_main, p.delay);
+    AreaMil2 area = 0.0;
+    for (const StatVal& a : match->integration.chip_area) area += a.likely();
+    EXPECT_EQ(area, p.area);
+  }
+}
+
+TEST(Generate, KeepAllSearchPredictsUncached) {
+  // A keep-all search reads raw lists, which the cache does not hold.
+  const dfg::BenchmarkGraph bg = test_workload(25, 16, 4);
+  static const lib::ComponentLibrary library =
+      lib::dac91_experiment_library();
+  obs::Counter& hits =
+      obs::MetricsRegistry::global().counter("bad.prediction_cache.hits");
+  obs::Counter& misses =
+      obs::MetricsRegistry::global().counter("bad.prediction_cache.misses");
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t misses_before = misses.value();
+  GenerateOptions options;
+  options.num_starts = 2;
+  options.budget = 4;
+  options.search.prune = false;
+  const GenerateResult r = generate_partitions(
+      bg.graph, library, test_chips(2), {}, test_config(), options);
+  EXPECT_GE(r.evaluations, 1u);
+  EXPECT_EQ(hits.value(), hits_before);
+  EXPECT_EQ(misses.value(), misses_before);
+}
+
+TEST(Generate, SingleChipScoresItsCutOnce) {
+  // One chip has one cut: the generator scores it once and gives the same
+  // verdict as a cold session on that cut.
+  const dfg::BenchmarkGraph ar = dfg::ar_lattice_filter();
+  const GenerateResult r =
+      generate_partitions(ar.graph, experiment_library(), test_chips(1), {},
+                          exp1_config(), wide_options());
+  EXPECT_EQ(r.evaluations, 1u);
+  EXPECT_EQ(r.starts_run, 0u);
+  EXPECT_EQ(count_lines(r, "single chip"), 1u);
+  ASSERT_TRUE(r.feasible());
+
+  core::Partitioning pt(ar.graph, test_chips(1));
+  pt.add_partition("P1", ar.graph.partitionable_operations(), 0);
+  core::ChopSession cold(experiment_library(), std::move(pt), exp1_config());
+  cold.predict_partitions();
+  const core::SearchResult fresh = cold.search(wide_options().search);
+  ASSERT_FALSE(fresh.designs.empty());
+  expect_same_search(r.search, fresh);
+  std::ostringstream verdict;
+  verdict << "final: feasible II=" << fresh.designs.front().integration.ii_main
+          << "c delay="
+          << fresh.designs.front().integration.system_delay_main << "c";
+  EXPECT_EQ(r.log.back().rfind(verdict.str(), 0), 0u) << r.log.back();
 }
 
 // --- Determinism contract ----------------------------------------------
