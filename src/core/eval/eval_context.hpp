@@ -69,7 +69,7 @@ class EvalContext {
 /// Content digest of one partition as integrate() sees it: name, chip
 /// binding (including the chip's package geometry) and member set. The
 /// session diffs these across an EvalDelta to decide which partitions'
-/// predictions and bound columns are actually dirty.
+/// predictions are actually dirty.
 std::uint64_t partition_fingerprint(const Partitioning& pt, std::size_t p);
 
 }  // namespace chop::core

@@ -6,8 +6,8 @@
 // the constraint budget. An EvalDelta names one such edit as data, so the
 // session can apply it, diff the evaluation-context fingerprints before
 // and after, and route the follow-up search through the incremental path:
-// per-partition prediction reuse, warm CandidateEvaluator shards (full-key
-// and constraint-independent core-key), and cached BoundTables columns.
+// per-partition prediction reuse and warm CandidateEvaluator shards
+// (full-key and constraint-independent core-key).
 //
 // A DeltaImpact summarises what actually changed — the contract consumers
 // rely on: `noop` deltas must trigger zero re-search, `constraints_only`
@@ -75,12 +75,12 @@ struct DeltaImpact {
 
   /// Core fingerprint unchanged (but the full one moved): only the
   /// constraint budget / criteria differ, so every memoized
-  /// IntegrationCore and BoundTables static remains valid.
+  /// IntegrationCore remains valid.
   bool constraints_only = false;
 
   /// Per-partition flag: the partition's prediction inputs (members, chip
-  /// package, clocks, or the pruning budget) changed, so its list — and
-  /// its bound-table column — must be recomputed.
+  /// package, clocks, or the pruning budget) changed, so its list must be
+  /// recomputed.
   std::vector<bool> dirty_partitions;
 
   std::uint64_t old_fingerprint = 0;

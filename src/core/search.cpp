@@ -685,7 +685,7 @@ SearchResult search_enumeration(const EvalContext& ctx,
     obs::TraceSpan tables_span("search.bound_tables");
     {
       obs::ScopedPhase phase(profile, obs::SearchPhase::kBoundTables);
-      tables = std::make_unique<BoundTables>(ctx, lists, options.bound_cache);
+      tables = std::make_unique<BoundTables>(ctx, lists);
     }
     seed = seed_frontier(ctx, lists, evaluator, out, probe_counter, profile);
     tables_span.arg("partitions", lists.size());

@@ -42,7 +42,6 @@
 
 namespace chop::core {
 
-class BoundTablesCache;
 class CandidateEvaluator;
 class ThreadPool;
 
@@ -118,11 +117,6 @@ struct SearchOptions {
   /// one off switch (CLI: --no-bound-pruning). The iterative heuristic
   /// ignores this.
   bool bound_pruning = true;
-  /// Session-owned memo for bound-table construction across §2.7
-  /// revisions (see BoundTablesCache in core/eval/bound_state.hpp). Not
-  /// owned; null (the default) — and an unarmed cache — leave the
-  /// construction byte-identical to the cacheless path.
-  BoundTablesCache* bound_cache = nullptr;
   /// Distributed-tracing context to run under: every span the search
   /// emits (including spans on pool worker threads) joins this trace as
   /// one connected tree. Inactive (the default) inherits whatever

@@ -17,12 +17,6 @@ namespace chop::core {
 
 namespace {
 
-/// Family tags folded into bound-cache column keys: the cache must never
-/// serve a column computed from the raw list to a search over the
-/// eligible list (options.prune picks the family uniformly).
-constexpr std::uint64_t kEligibleFamily = 0x454c4947u;  // "ELIG"
-constexpr std::uint64_t kRawFamily = 0x52415721u;       // "RAW!"
-
 Cycles max_ii_dp_for(const ChopConfig& config) {
   const Cycles max_ii_main = static_cast<Cycles>(
       config.constraints.performance_ns / config.clocks.main_clock);
@@ -317,14 +311,10 @@ SearchResult ChopSession::research(const SearchOptions& options) {
     obs::ScopedPhase predict_phase(options.profile, obs::SearchPhase::kPredict);
     predict_partitions();
   }
-  if (bound_cache_ == nullptr) {
-    bound_cache_ = std::make_unique<BoundTablesCache>();
-  }
 
   // The context must outlive the search (it is passed by reference).
   const EvalContext ctx = make_eval_context();
 
-  const std::size_t nparts = partitioning_.partitions().size();
   const std::vector<PartitionKeys>& keys = partition_keys();
 
   // One-deep result memo, content-keyed: the context fingerprint covers
@@ -360,17 +350,6 @@ SearchResult ChopSession::research(const SearchOptions& options) {
 
   SearchOptions opts = options;
   if (opts.evaluator == nullptr) opts.evaluator = evaluator_.get();
-  if (opts.bound_cache == nullptr) {
-    std::vector<std::uint64_t> column_keys(nparts);
-    for (std::size_t p = 0; p < nparts; ++p) {
-      Fnv1a ch;
-      ch.mix(opts.prune ? kEligibleFamily : kRawFamily);
-      ch.mix(opts.prune ? keys[p].eligible : keys[p].raw);
-      column_keys[p] = ch.digest();
-    }
-    bound_cache_->prepare(ctx.core_fingerprint(), std::move(column_keys));
-    opts.bound_cache = bound_cache_.get();
-  }
 
   SearchResult result = find_feasible_implementations(ctx, predictions_, opts);
   if (cache_eligible && !result.cancelled) {

@@ -9,9 +9,8 @@
 //  * the revisioned incremental pipeline: apply(EvalDelta) + research().
 //    apply() patches the session state through a structured §2.7 delta
 //    and reports which partitions it dirtied; research() then re-runs
-//    only the invalidated work — per-partition prediction reuse, the
-//    session evaluator's two-level memo, and a BoundTablesCache that
-//    rebuilds only dirty bound columns — while returning a result
+//    only the invalidated work — per-partition prediction reuse and the
+//    session evaluator's two-level memo — while returning a result
 //    byte-identical to a cold predict+search of the same state (the
 //    equality oracle in chop_fuzz and tests/eval_delta_test enforce
 //    this).
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "bad/predictor.hpp"
-#include "core/eval/bound_state.hpp"
 #include "core/eval/candidate_evaluator.hpp"
 #include "core/eval/eval_delta.hpp"
 #include "core/partitioning.hpp"
@@ -103,9 +101,9 @@ class ChopSession {
 
   /// The incremental counterpart of predict_partitions() + search():
   /// refreshes predictions if needed (reusing every partition whose
-  /// inputs are unchanged), arms the session's bound-table cache, and
-  /// runs the search on the session evaluator. The returned result is
-  /// byte-identical to a cold session's predict+search of the same state.
+  /// inputs are unchanged) and runs the search on the session evaluator.
+  /// The returned result is byte-identical to a cold session's
+  /// predict+search of the same state.
   /// Plain repeated calls with unchanged state and equivalent options are
   /// answered from a one-deep result cache (skipped when options carry an
   /// observer, cancel flag, or deadline).
@@ -190,9 +188,6 @@ class ChopSession {
   std::vector<PartitionKeys> keys_;
   bool keys_valid_ = false;
   PredictionCache* shared_predictions_ = nullptr;
-  /// Bound-table memo armed by research() before each search; behind a
-  /// pointer for the same movability reason as evaluator_.
-  std::unique_ptr<BoundTablesCache> bound_cache_;
   /// One-deep research() result cache, content-keyed on the evaluation
   /// context, the prediction-list keys, and the deterministic options.
   bool last_result_valid_ = false;

@@ -177,19 +177,25 @@ TEST(EvalDelta, EachDeltaKindMatchesColdResearch) {
       {"set_clocking", EvalDelta::set_clocking(probe.config().style, slower)},
       {"set_constraints", EvalDelta::set_constraints(tighter)},
   };
-  for (const Case& c : cases) {
-    ChopSession warm = make_session(2);
-    warm.predict_partitions();
-    const SearchOptions opt;
-    (void)warm.research(opt);
-    warm.apply(c.delta);
-    const SearchResult incremental = warm.research(opt);
+  // Both list families: a keep-all search reads the raw lists, which a
+  // revision reuses on a raw-key hit even when the eligible key moved.
+  for (const bool prune : {true, false}) {
+    SearchOptions opt;
+    opt.prune = prune;
+    for (const Case& c : cases) {
+      ChopSession warm = make_session(2);
+      warm.predict_partitions();
+      (void)warm.research(opt);
+      warm.apply(c.delta);
+      const SearchResult incremental = warm.research(opt);
 
-    ChopSession cold = make_session(2);
-    cold.apply(c.delta);
-    cold.predict_partitions();
-    const SearchResult reference = cold.search(opt);
-    EXPECT_EQ(rendered(incremental), rendered(reference)) << c.name;
+      ChopSession cold = make_session(2);
+      cold.apply(c.delta);
+      cold.predict_partitions();
+      const SearchResult reference = cold.search(opt);
+      EXPECT_EQ(rendered(incremental), rendered(reference))
+          << c.name << (prune ? " (prune)" : " (keep-all)");
+    }
   }
 }
 
@@ -275,29 +281,6 @@ TEST(EvalDelta, ClockDeltaRecomputesEveryPrediction) {
   (void)s.research(opt);
   EXPECT_EQ(counter("eval.delta_predict_recomputed"), recomputed + 2)
       << "an all-dirty delta degenerates to the cold prediction path";
-}
-
-TEST(EvalDelta, BoundColumnsReusedWhenRevisited) {
-  ChopSession s = make_session(2);
-  s.predict_partitions();
-  const SearchOptions opt;
-  (void)s.research(opt);
-
-  DesignConstraints tighter = s.config().constraints;
-  tighter.performance_ns = 27000.0;
-  s.apply(EvalDelta::set_constraints(tighter));
-  (void)s.research(opt);
-  s.apply(EvalDelta::set_constraints({30000.0, 30000.0}));
-  // Back at the base state: its bound-table columns are still memoized
-  // (research at base ran before), so nothing needs rebuilding — but the
-  // round trip is served from the result cache without touching tables at
-  // all. Re-ask at the tightened state after evicting the result key by
-  // toggling once more: columns for that state were built above.
-  const std::uint64_t reused = counter("eval.delta_bound_cols_reused");
-  (void)s.research(opt);
-  s.apply(EvalDelta::set_constraints(tighter));
-  (void)s.research(opt);
-  EXPECT_GE(counter("eval.delta_bound_cols_reused"), reused);
 }
 
 // ---- the core/verdict split ----
